@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import gamefile
 from .equilibrium import DEFAULT_PROFILE_CAP, enumerate_sse, is_sse
 from .errors import GameError
-from .gaps import verify_utility_gap
+from .gaps import answer_bit_distribution, gap_threshold, verify_utility_gap
 from .pruning import prune_nature, verify_pruning
 from .protocols import (
     MripSpec,
@@ -36,7 +35,6 @@ from .trees import (
     rational,
     validate_game,
 )
-from .gaps import answer_bit_distribution
 
 DEFAULT_NODE_CAP = 10**5
 
@@ -86,7 +84,7 @@ def _cmd_build(args) -> int:
         build = build_three_coloring(vertices, edges)
     elif args.protocol == "nexp":
         if args.fixed_soundness:
-            frac = Fraction(args.fixed_soundness)
+            frac = rational(args.fixed_soundness)
             mip = fixed_soundness_mip(frac.numerator, frac.denominator)
         else:
             with open(args.instance) as fp:
@@ -214,6 +212,7 @@ def _cmd_find_dominant(args) -> int:
 def _cmd_check_gap(args) -> int:
     game = _load_game(args)
     alpha = rational(args.alpha)
+    gap_threshold(alpha)  # reject a non-positive alpha before any search
     if args.strategy:
         s_star = _load_strategy(args.strategy)
     else:

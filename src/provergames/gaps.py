@@ -2,14 +2,25 @@
 
 A wrong-answer profile is robustly punished when some subform it still reaches
 contains a prover who deviated there and would gain more than the gap
-threshold by switching back to the dominant play inside that subform, holding
-everything outside fixed.
+threshold 1/alpha by switching back to the dominant play inside that subform,
+holding everything outside fixed.
+
+The scans evaluate that splice in closed form. Every information set lies
+wholly inside or wholly outside a closed subform F, so splicing `s_star` into F
+changes neither play outside F nor the reach of its frontier (root-set members
+with no other member as a prefix), and by linearity the splice loss is
+
+    sum over frontier members m of reach_s(m) * (V_s_star(m) - V_s(m))
+
+with V the continuation values: one pass for `s_star` per call and one pass
+over the reached histories per profile. `splice` stays the literal oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import CapExceededError, GameError
 from .trees import (
@@ -17,12 +28,14 @@ from .trees import (
     StrategyProfile,
     TerminalNode,
     all_profiles,
+    continuation_values,
     profile_space_size,
     reach_map,
+    reached_subtree,
     require_total_profile,
     utility_vector,
 )
-from .subforms import Subform, find_subforms, sets_in
+from .subforms import Subform, actors_in, find_subforms, sets_in
 
 
 def answer_bit_distribution(
@@ -59,22 +72,45 @@ def splice(
     )
 
 
-def _subform_reachable(game: GameTree, s: StrategyProfile, sf: Subform) -> bool:
-    if sf.root_set is None:
-        return True
-    reach = reach_map(game, s)
-    return sum((reach[h] for h in sf.root_set.members), Fraction(0)) > 0
+def gap_threshold(alpha: Fraction | int) -> Fraction:
+    """The loss 1/alpha that a gap witness is measured against; alpha must be > 0."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise GameError(f"alpha must be positive, got {alpha}")
+    return 1 / alpha
 
 
-def _deviators_inside(
-    game: GameTree, s_prime: StrategyProfile, s_star: StrategyProfile, sf: Subform
-) -> tuple[int, ...]:
-    """Provers acting in the subform whose choices differ from s_star inside it."""
-    out = set()
-    for iset in sets_in(game, sf):
-        if s_prime.action(iset.key) != s_star.action(iset.key):
-            out.add(iset.owner)
-    return tuple(sorted(out))
+class _SpliceScan:
+    """Closed-form splice losses against a fixed `s_star`."""
+
+    def __init__(self, game: GameTree, s_star: StrategyProfile):
+        require_total_profile(game, s_star)
+        self.provers = game.provers
+        self.star = continuation_values(game, s_star)
+        self.plan = []  # (subform, frontier, (key, owner, s_star action) of sets inside)
+        for sf in find_subforms(game):
+            members = ((),) if sf.root_set is None else sf.root_set.members
+            frontier = [m for m in members if not any(o != m and m[: len(o)] == o for o in members)]
+            inside = [(i.key, i.owner, s_star.action(i.key)) for i in sets_in(game, sf)]
+            self.plan.append((sf, frontier, inside))
+
+    def losses(
+        self, s: StrategyProfile, reach: dict, values: dict
+    ) -> Iterator[tuple[Subform, list[int], tuple[Fraction, ...]]]:
+        """(subform, deviators, loss) per subform that `s` reaches and deviates in,
+        in canonical order, given `reached_subtree(game, s)`; `loss[j - 1]` is
+        prover j's utility under the splice minus under `s`."""
+        for sf, frontier, inside in self.plan:
+            entries = [m for m in frontier if m in reach]
+            if not entries:
+                continue
+            deviators = sorted({owner for key, owner, a in inside if s.action(key) != a})
+            if not deviators:  # the splice is `s` itself
+                continue
+            yield sf, deviators, tuple(
+                sum((reach[m] * (self.star[m][j] - values[m][j]) for m in entries), Fraction(0))
+                for j in range(self.provers)
+            )
 
 
 @dataclass(frozen=True)
@@ -92,21 +128,13 @@ def find_gap_witness(
 ) -> GapWitness | None:
     """First subform/prover pair whose splice gain exceeds 1/alpha, scanning
     subforms in canonical (height-ascending) order."""
-    threshold = Fraction(1) / Fraction(alpha)
-    base = utility_vector(game, s_prime)
-    reach = reach_map(game, s_prime)
-    for sf in find_subforms(game):
-        if sf.root_set is not None and not any(
-            reach[h] > 0 for h in sf.root_set.members
-        ):
-            continue
-        spliced_vec = None
-        for j in _deviators_inside(game, s_prime, s_star, sf):
-            if spliced_vec is None:
-                spliced_vec = utility_vector(game, splice(game, s_prime, sf, s_star))
-            loss = spliced_vec[j - 1] - base[j - 1]
-            if loss > threshold:
-                return GapWitness(sf.key, j, loss)
+    threshold = gap_threshold(alpha)
+    require_total_profile(game, s_prime)
+    scan = _SpliceScan(game, s_star)
+    for sf, deviators, loss in scan.losses(s_prime, *reached_subtree(game, s_prime)):
+        for j in deviators:
+            if loss[j - 1] > threshold:
+                return GapWitness(sf.key, j, loss[j - 1])
     return None
 
 
@@ -118,19 +146,12 @@ def check_gap_closeness(
 ) -> bool:
     """True when no prover acting in a subform reached under `s` would gain
     1/alpha or more from the dominant play spliced into that subform."""
-    threshold = Fraction(1) / Fraction(alpha)
-    base = utility_vector(game, s)
-    reach = reach_map(game, s)
-    for sf in find_subforms(game):
-        if sf.root_set is not None and not any(
-            reach[h] > 0 for h in sf.root_set.members
-        ):
-            continue
-        spliced_vec = utility_vector(game, splice(game, s, sf, s_star))
-        for iset in sets_in(game, sf):
-            gain = spliced_vec[iset.owner - 1] - base[iset.owner - 1]
-            if gain >= threshold:
-                return False
+    threshold = gap_threshold(alpha)
+    require_total_profile(game, s)
+    scan = _SpliceScan(game, s_star)
+    for sf, _, loss in scan.losses(s, *reached_subtree(game, s)):
+        if any(loss[j - 1] >= threshold for j in actors_in(game, sf)):
+            return False
     return True
 
 
@@ -151,10 +172,6 @@ class GapReport:
     measured_gap: Fraction | None  # min over wrong profiles of the max loss
     worst: WrongProfileRow | None
 
-    @property
-    def table(self) -> tuple[WrongProfileRow, ...]:
-        return (self.worst,) if self.worst is not None else ()
-
 
 def verify_utility_gap(
     game: GameTree,
@@ -173,61 +190,36 @@ def verify_utility_gap(
 
     if correct_bit not in (0, 1):
         raise GameError(f"correct_bit must be 0 or 1, got {correct_bit}")
-    threshold = Fraction(1) / Fraction(alpha)
+    threshold = gap_threshold(alpha)
     cap = cap if cap is not None else DEFAULT_PROFILE_CAP
     size = profile_space_size(game)
     if size > cap:
         raise CapExceededError(f"{size} profiles exceed cap {cap}", size)
 
-    subs = find_subforms(game)
-    sets_inside = {sf.key: sets_in(game, sf) for sf in subs}
+    scan = _SpliceScan(game, s_star)
+    correct = {t for t in game.terminals if game.nodes[t].answer_bit == correct_bit}
     verdict = True
     wrong = 0
     measured: Fraction | None = None
     worst: WrongProfileRow | None = None
     for s in all_profiles(game):
-        reach = reach_map(game, s)
-        correct_mass = sum(
-            (
-                reach[t]
-                for t in game.terminals
-                if game.nodes[t].answer_bit == correct_bit
-            ),
-            Fraction(0),
-        )
-        if correct_mass == 1:
+        reach, values = reached_subtree(game, s)
+        if sum((r for h, r in reach.items() if h in correct), Fraction(0)) == 1:
             continue
         wrong += 1
-        base = utility_vector(game, s)
-        best_loss: Fraction | None = None
-        best_at: tuple[str, int] | None = None
-        for sf in subs:
-            if sf.root_set is not None and not any(
-                reach[h] > 0 for h in sf.root_set.members
-            ):
-                continue
-            deviators = sorted(
-                {
-                    iset.owner
-                    for iset in sets_inside[sf.key]
-                    if s.action(iset.key) != s_star.action(iset.key)
-                }
-            )
-            if not deviators:
-                continue
-            spliced_vec = utility_vector(game, splice(game, s, sf, s_star))
+        best: tuple[Fraction, str, int] | None = None
+        for sf, deviators, loss in scan.losses(s, reach, values):
             for j in deviators:
-                loss = spliced_vec[j - 1] - base[j - 1]
-                if best_loss is None or loss > best_loss:
-                    best_loss, best_at = loss, (sf.key, j)
-        if best_loss is None:
+                if best is None or loss[j - 1] > best[0]:
+                    best = (loss[j - 1], sf.key, j)
+        if best is None:
             # A wrong profile with no deviation anywhere cannot exist.
             raise GameError("wrong-bit profile identical to the dominant SSE")
-        if best_loss <= threshold:
+        if best[0] <= threshold:
             verdict = False
-        if measured is None or best_loss < measured:
-            measured = best_loss
-            worst = WrongProfileRow(s.choices, best_loss, best_at[0], best_at[1])
+        if measured is None or best[0] < measured:
+            measured = best[0]
+            worst = WrongProfileRow(s.choices, *best)
     return GapReport(verdict, Fraction(alpha), threshold, wrong, measured, worst)
 
 

@@ -33,7 +33,10 @@ def rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -423,6 +426,51 @@ def continuation_values(
             chosen = s.action(game.set_by_history[h].key)
             out[h] = out[h + (chosen,)]
     return out
+
+
+def reached_subtree(
+    game: GameTree, s: StrategyProfile
+) -> tuple[dict[History, Fraction], dict[History, tuple[Fraction, ...]]]:
+    """Reach and continuation values of only the histories reached under `s`.
+
+    A history that `s` and Nature reach with probability zero gets no entry,
+    so under a pure profile the work is proportional to the reached nodes:
+    one child per prover node. The pass is iterative and takes any depth.
+    """
+    nodes, set_of = game.nodes, game.set_by_history
+    reach: dict[History, Fraction] = {(): Fraction(1)}
+    order: list[History] = []  # parents before children
+    stack: list[History] = [()]
+    while stack:
+        h = stack.pop()
+        order.append(h)
+        node = nodes[h]
+        if isinstance(node, TerminalNode):
+            continue
+        if node.player == NATURE:
+            for a, p in zip(node.actions, node.dist):
+                if p:
+                    reach[h + (a,)] = reach[h] * p
+                    stack.append(h + (a,))
+        else:
+            child = h + (s.action(set_of[h].key),)
+            reach[child] = reach[h]
+            stack.append(child)
+    values: dict[History, tuple[Fraction, ...]] = {}
+    for h in reversed(order):
+        node = nodes[h]
+        if isinstance(node, TerminalNode):
+            values[h] = node.payments
+        elif node.player == NATURE:
+            acc = [Fraction(0)] * game.provers
+            for a, p in zip(node.actions, node.dist):
+                if p:
+                    for j, v in enumerate(values[h + (a,)]):
+                        acc[j] += p * v
+            values[h] = tuple(acc)
+        else:
+            values[h] = values[h + (s.action(set_of[h].key),)]
+    return reach, values
 
 
 def expected_utility(game: GameTree, s: StrategyProfile, prover: int) -> Fraction:

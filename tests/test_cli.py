@@ -232,3 +232,21 @@ class TestErrors:
         # threshold 1/3 sits strictly below the 1/2 loss of the wrong claim
         code, _, _ = run(capsys, "check-gap", path, "--alpha", "3", "--correct-bit", "1")
         assert code == 0
+
+
+class TestRationalFlags:
+    @pytest.mark.parametrize("alpha", ["0", "1/0", "-2"])
+    def test_check_gap_rejects_bad_alpha(self, tmp_path, capsys, alpha):
+        game = tmp_path / "nexp.game"
+        run(capsys, "build", "nexp", "--fixed-soundness", "1/3", "--out", game)
+        code, out, err = run(capsys, "check-gap", game, "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_zero_denominator_soundness_exits_two(self, tmp_path, capsys):
+        game = tmp_path / "nexp.game"
+        code, _, err = run(
+            capsys, "build", "nexp", "--fixed-soundness", "1/0", "--out", game
+        )
+        assert code == 2 and "zero denominator" in err and "Traceback" not in err
+        assert not game.exists()

@@ -8,6 +8,8 @@ import pytest
 from provergames.equilibrium import enumerate_sse
 from provergames.errors import GameError
 from provergames.gaps import (
+    GapWitness,
+    WrongProfileRow,
     answer_bit_distribution,
     check_gap_closeness,
     find_gap_witness,
@@ -16,16 +18,24 @@ from provergames.gaps import (
     subinterval_profile_check,
     verify_utility_gap,
 )
-from provergames.subforms import Subform, dominant_sse_set, find_subforms
+from provergames.subforms import Subform, dominant_sse_set, find_subforms, sets_in
+from provergames.pruning import prune_nature
 from provergames.trees import (
     DecisionNode,
+    InformationSet,
     NATURE,
     StrategyProfile,
     TerminalNode,
+    all_profiles,
+    continuation_values,
+    expected_utility,
     make_game,
+    profile_space_size,
+    reach_map,
+    utility_vector,
 )
 
-from randgames import random_game
+from randgames import random_game, random_profile
 
 
 class TestAnswerBitDistribution:
@@ -170,8 +180,6 @@ class TestGapCloseness:
         # No witness for a deviating profile forces closeness, except exactly
         # at the threshold or when only non-deviating provers would gain.
         rng = random.Random(900)
-        from randgames import random_profile
-
         checked = 0
         for _ in range(50):
             game = random_game(rng, max_nodes=40, max_prover_sets=5, max_actions=2)
@@ -195,15 +203,18 @@ class TestGapCloseness:
                         # did not deviate inside the subform, or an exact tie
                         # with the threshold.
                         ok = False
-                        from provergames.gaps import _deviators_inside, _subform_reachable
-                        from provergames.trees import expected_utility
-                        from provergames.subforms import sets_in
-
+                        reach = reach_map(game, s)
                         for sf in find_subforms(game):
-                            if not _subform_reachable(game, s, sf):
+                            if sf.root_set is not None and not any(
+                                reach[h] > 0 for h in sf.root_set.members
+                            ):
                                 continue
                             spliced = splice(game, s, sf, s_star)
-                            devs = _deviators_inside(game, s, s_star, sf)
+                            devs = {
+                                iset.owner
+                                for iset in sets_in(game, sf)
+                                if s.action(iset.key) != s_star.action(iset.key)
+                            }
                             for iset in sets_in(game, sf):
                                 j = iset.owner
                                 gain = expected_utility(game, spliced, j) - expected_utility(game, s, j)
@@ -244,3 +255,180 @@ class TestSubintervalProfiles:
         report = subinterval_profile_check(game, alpha_scaled, sses)
         assert report.ok
         assert report.checked >= 1
+
+
+def _oracle_splices(game, s, s_star):
+    """(subform, deviators, owners, loss) per reached subform, by literal splice."""
+    base = utility_vector(game, s)
+    reach = reach_map(game, s)
+    for sf in find_subforms(game):
+        if sf.root_set is not None and not any(reach[h] > 0 for h in sf.root_set.members):
+            continue
+        inside = sets_in(game, sf)
+        devs = sorted({i.owner for i in inside if s.action(i.key) != s_star.action(i.key)})
+        owners = sorted({i.owner for i in inside})
+        spliced = utility_vector(game, splice(game, s, sf, s_star))
+        yield sf, devs, owners, tuple(a - b for a, b in zip(spliced, base))
+
+
+def _oracle_witness(game, s_star, s, alpha):
+    for sf, devs, _, loss in _oracle_splices(game, s, s_star):
+        for j in devs:
+            if loss[j - 1] > 1 / F(alpha):
+                return GapWitness(sf.key, j, loss[j - 1])
+    return None
+
+
+def _oracle_closeness(game, s, s_star, alpha):
+    return not any(
+        loss[j - 1] >= 1 / F(alpha)
+        for _, _, owners, loss in _oracle_splices(game, s, s_star)
+        for j in owners
+    )
+
+
+def _oracle_gap(game, s_star, alpha, correct_bit):
+    """(wrong profiles, measured gap, worst row) by splicing every wrong profile."""
+    wrong, measured, worst = 0, None, None
+    for s in all_profiles(game):
+        if answer_bit_distribution(game, s)[correct_bit] == 1:
+            continue
+        wrong += 1
+        best = None
+        for sf, devs, _, loss in _oracle_splices(game, s, s_star):
+            for j in devs:
+                if best is None or loss[j - 1] > best[0]:
+                    best = (loss[j - 1], sf.key, j)
+        if best is None:
+            return "no deviation"
+        if measured is None or best[0] < measured:
+            measured, worst = best[0], WrongProfileRow(s.choices, *best)
+    return wrong, measured, worst
+
+
+class TestClosedFormSplices:
+    """The scans evaluate splices in closed form; `splice` + `utility_vector` is the oracle."""
+
+    def _agree(self, game, s_star, alphas, probes):
+        for alpha in alphas:
+            for bit in (0, 1):
+                expected = _oracle_gap(game, s_star, alpha, bit)
+                if expected == "no deviation":
+                    with pytest.raises(GameError):
+                        verify_utility_gap(game, s_star, alpha, bit)
+                    continue
+                report = verify_utility_gap(game, s_star, alpha, bit)
+                assert (report.wrong_profiles, report.measured_gap, report.worst) == expected
+                measured = report.measured_gap
+                assert report.verdict == (measured is None or measured > 1 / F(alpha))
+            for s in probes:
+                assert find_gap_witness(game, s_star, s, alpha) == _oracle_witness(
+                    game, s_star, s, alpha
+                )
+                assert check_gap_closeness(game, s, s_star, alpha) == _oracle_closeness(
+                    game, s, s_star, alpha
+                )
+
+    def test_random_corpus_matches_splice_oracle(self):
+        rng = random.Random(2718)
+        games = 0
+        while games < 40:
+            game = random_game(rng, max_nodes=24, max_prover_sets=5, max_actions=2)
+            if not 4 <= profile_space_size(game) <= 32:
+                continue
+            games += 1
+            s_star = random_profile(rng, game)
+            probes = [random_profile(rng, game) for _ in range(3)] + [s_star]
+            self._agree(game, s_star, (F(1, 3), 2, F(7, 2)), probes)
+            # Nature pruning leaves zero-probability branches behind.
+            pruned, _ = prune_nature(game, s_star, 1, 1)
+            self._agree(pruned, s_star, (2,), probes)
+
+    @pytest.mark.parametrize(
+        "pay_aa, pay_ab, loss, all_members_sum",
+        [(F(1), F(0), F(-1, 2), F(-3, 2)), (F(0), F(1), F(1, 2), F(3, 2))],
+    )
+    def test_absent_minded_set_sums_over_frontier_only(
+        self, pay_aa, pay_ab, loss, all_members_sum
+    ):
+        # One set holds both the root and its child "a". Play reaches "a" only
+        # through the root, so "a" is no frontier member and adds no term.
+        nodes = {
+            (): DecisionNode(1, ("a", "b")),
+            ("a",): DecisionNode(1, ("a", "b")),
+            ("a", "a"): TerminalNode((pay_aa,), 0),
+            ("a", "b"): TerminalNode((pay_ab,), 1),
+            ("b",): TerminalNode((F(1, 2),), 1),
+        }
+        iset = InformationSet(1, ((), ("a",)), ("a", "b"))
+        game = make_game(1, nodes, [iset])
+        s_star = StrategyProfile.from_dict({iset.key: "b"})
+        s = StrategyProfile.from_dict({iset.key: "a"})
+        sf = next(sf for sf in find_subforms(game) if sf.root_set is not None)
+        spliced = utility_vector(game, splice(game, s, sf, s_star))
+        assert spliced[0] - utility_vector(game, s)[0] == loss
+        reach, star = reach_map(game, s), continuation_values(game, s_star)
+        vals = continuation_values(game, s)
+        naive = sum(reach[m] * (star[m][0] - vals[m][0]) for m in iset.members)
+        assert naive == all_members_sum
+        report = verify_utility_gap(game, s_star, 1, 1)
+        assert report.measured_gap == loss and not report.verdict
+        assert report.worst == WrongProfileRow(s.choices, loss, "<game>", 1)
+        assert find_gap_witness(game, s_star, s, 1) is None
+        assert check_gap_closeness(game, s, s_star, 1)
+        self._agree(game, s_star, (1, 3), [s, s_star])
+
+    @pytest.mark.parametrize("pay_a, pay_b, loss", [(F(1, 2), F(0), F(1, 2)), (F(0), F(1, 2), F(-1, 2))])
+    def test_subform_entered_below_zero_probability_branch(self, pay_a, pay_b, loss):
+        # Set A is entered at "x" and at "y", which Nature never plays; set B
+        # lies only below "y", so its subform is unreached even where `s`
+        # deviates in it, and must be skipped.
+        nodes = {
+            (): DecisionNode(NATURE, ("x", "y"), (F(1), F(0))),
+            ("x",): DecisionNode(1, ("a", "b")),
+            ("y",): DecisionNode(1, ("a", "b")),
+            ("x", "a"): TerminalNode((pay_a,), 1),
+            ("x", "b"): TerminalNode((pay_b,), 0),
+            ("y", "a"): TerminalNode((F(1),), 1),
+            ("y", "b"): DecisionNode(1, ("c", "d")),
+            ("y", "b", "c"): TerminalNode((F(-1),), 0),
+            ("y", "b", "d"): TerminalNode((F(1),), 1),
+        }
+        a_set = InformationSet(1, (("x",), ("y",)), ("a", "b"))
+        b_set = InformationSet(1, (("y", "b"),), ("c", "d"))
+        game = make_game(1, nodes, [a_set, b_set])
+        s_star = StrategyProfile.from_dict({a_set.key: "a", b_set.key: "c"})
+        s = StrategyProfile.from_dict({a_set.key: "b", b_set.key: "d"})
+        report = verify_utility_gap(game, s_star, 3, 1)
+        assert report.measured_gap == loss and report.worst.witness_subform == a_set.key
+        witness = find_gap_witness(game, s_star, s, 3)
+        assert witness == (GapWitness(a_set.key, 1, loss) if loss > F(1, 3) else None)
+        assert check_gap_closeness(game, s, s_star, 3) == (loss < F(1, 3))
+        self._agree(game, s_star, (3, F(1, 2)), [s, s_star])
+
+    def test_deep_nature_chain_is_not_recursive(self):
+        depth = 3000
+        nodes = {("n",) * k: DecisionNode(NATURE, ("n",), (F(1),)) for k in range(depth)}
+        bottom = ("n",) * depth
+        nodes[bottom] = DecisionNode(1, ("a", "b"))
+        nodes[bottom + ("a",)] = TerminalNode((F(1, 2),), 1)
+        nodes[bottom + ("b",)] = TerminalNode((F(0),), 0)
+        game = make_game(1, nodes)
+        key = game.info_sets[0].key
+        s_star = StrategyProfile.from_dict({key: "a"})
+        s = StrategyProfile.from_dict({key: "b"})
+        report = verify_utility_gap(game, s_star, 3, 1)
+        assert report.verdict and report.wrong_profiles == 1
+        assert report.worst == WrongProfileRow(s.choices, F(1, 2), key, 1)
+        assert find_gap_witness(game, s_star, s, 3) == GapWitness(key, 1, F(1, 2))
+        assert not check_gap_closeness(game, s, s_star, 3)
+
+    @pytest.mark.parametrize("alpha", [0, F(-2), -1])
+    def test_non_positive_alpha_rejected(self, nexp_sat, alpha):
+        game, honest = nexp_sat.game, nexp_sat.honest
+        with pytest.raises(GameError, match="positive"):
+            verify_utility_gap(game, honest, alpha, 1)
+        with pytest.raises(GameError, match="positive"):
+            find_gap_witness(game, honest, honest, alpha)
+        with pytest.raises(GameError, match="positive"):
+            check_gap_closeness(game, honest, honest, alpha)

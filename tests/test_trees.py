@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from provergames.errors import BeliefError, ProfileError, UnknownHistoryError
+from provergames.pruning import prune_nature
 from provergames.trees import (
     NATURE,
     DecisionNode,
@@ -21,6 +22,7 @@ from provergames.trees import (
     rational,
     reach_map,
     reach_probability,
+    reached_subtree,
     utility_vector,
     validate_game,
 )
@@ -50,6 +52,10 @@ class TestRational:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             rational(0.5)
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rational("1/0")
 
 
 class TestValidateGame:
@@ -168,6 +174,23 @@ class TestReachProbability:
             s = random_profile(rng, game)
             reach = reach_map(game, s)
             assert sum(reach[t] for t in game.terminals) == 1
+
+    def test_reached_subtree_matches_full_passes(self):
+        rng = random.Random(13)
+        zero_branches = 0
+        for _ in range(25):
+            game = random_game(rng)
+            s = random_profile(rng, game)
+            # Nature pruning leaves zero-probability branches to skip.
+            for g in (game, prune_nature(game, s, 1, 1)[0]):
+                reach, values = reached_subtree(g, s)
+                full_reach, full_values = reach_map(g, s), continuation_values(g, s)
+                assert reach == {h: r for h, r in full_reach.items() if r > 0}
+                assert values == {h: full_values[h] for h in reach}
+                zero_branches += any(
+                    p == 0 for n in g.nodes.values() for p in getattr(n, "dist", None) or ()
+                )
+        assert zero_branches > 0
 
 
 class TestExpectedUtility:
