@@ -12,7 +12,7 @@ import sys
 
 from . import gamefile
 from .equilibrium import DEFAULT_PROFILE_CAP, enumerate_sse, is_sse
-from .errors import GameError
+from .errors import GameError, GameFileError
 from .gaps import answer_bit_distribution, gap_threshold, verify_utility_gap
 from .pruning import prune_nature, verify_pruning
 from .protocols import (
@@ -51,12 +51,24 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _load_game(args) -> GameTree:
+def _read_game(args) -> GameTree:
     with open(args.game) as fp:
         game, _ = gamefile.load_game(fp)
     if len(game.nodes) > args.max_nodes:
         raise GameError(
             f"game has {len(game.nodes)} nodes, over --max-nodes {args.max_nodes}"
+        )
+    return game
+
+
+def _load_game(args) -> GameTree:
+    """A structurally valid game: the analyses assume one."""
+    game = _read_game(args)
+    report = validate_game(game)
+    if not report.ok:
+        v = report.violations[0]
+        raise GameFileError(
+            f"{args.game}: invalid game, {v.code} at {v.where or '<root>'}: {v.message}"
         )
     return game
 
@@ -137,7 +149,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    game = _load_game(args)
+    game = _read_game(args)
     report = validate_game(game)
     recall = check_perfect_recall(game) if report.ok else None
     violations = list(report.violations) + list(recall.violations if recall else ())
@@ -277,7 +289,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--max-profiles", type=int, default=DEFAULT_PROFILE_CAP)
         p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_CAP)
-        p.add_argument("--jobs", type=int, default=1, help="worker count (advisory)")
+        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
         if game:
             p.add_argument("game")
 

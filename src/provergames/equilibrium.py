@@ -6,6 +6,16 @@ unreached sets it must not help conditioned on each member history separately.
 `is_sse_bruteforce` re-derives the same verdict from the definition, testing
 every full alternative strategy of the acting prover, and serves as the
 independent oracle in tests.
+
+`is_sse` runs on the integer core of `trees` (`_IntCore`): payments scaled by
+Nature weights and a common denominator, so every comparison it makes is
+between integers and Nature weights cancel (the realization weights of the
+sequence form). Only a reported violation turns back into exact Fractions:
+its delta is the integer gain over the scale of the member, or of the reached
+members, and its belief the members' weights over their sum, so certificates
+equal those of a Fraction evaluation. `enumerate_sse` checks recall and
+compiles the core once, then passes it to `is_sse` as the private `_core`
+for every profile; a standalone `is_sse` call compiles its own.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ from .trees import (
     History,
     StrategyProfile,
     TerminalNode,
+    _IntCore,
     all_profiles,
     check_perfect_recall,
-    continuation_values,
     profile_space_size,
     reach_map,
     require_total_profile,
@@ -61,58 +71,47 @@ def _require_recall(game: GameTree) -> None:
 
 
 def is_sse(
-    game: GameTree, s: StrategyProfile, *, _assume_recall: bool = False
+    game: GameTree, s: StrategyProfile, *, _core: _IntCore | None = None
 ) -> SseCertificate:
-    """One-shot deviation check, a single bottom-up pass over the tree."""
-    if not _assume_recall:
+    """One-shot deviation check: one bottom-up and one top-down pass on the
+    integer core, which `enumerate_sse` compiles once and passes as `_core`."""
+    if _core is None:
         _require_recall(game)
-    require_total_profile(game, s)
-    values = continuation_values(game, s)
-    reach = reach_map(game, s)
-    ops = len(game.nodes)  # continuation pass
+        _core = _IntCore(game)
+    choice = _core.choices(s)
+    value, reached = _core.evaluate(choice)
+    bits, mask, weight = _core.bits, _core.mask, _core.weight
     violations = []
-    for iset in game.sorted_sets:
-        owner = iset.owner
-        chosen = s.action(iset.key)
-        total = sum((reach[h] for h in iset.members), Fraction(0))
-        ops += len(iset.members) * len(iset.actions)
-        if total > 0:
-            belief = {h: reach[h] / total for h in iset.members}
-            base = sum(
-                (p * values[h + (chosen,)][owner - 1] for h, p in belief.items()),
-                Fraction(0),
-            )
-            for a in iset.actions:
-                if a == chosen:
+    for k, iset in enumerate(_core.sets):
+        shift = (iset.owner - 1) * bits
+        members, rows, c = _core.members[k], _core.rows[k], choice[k]
+        chosen = iset.actions[c]
+        live = tuple(n for n, m in enumerate(members) if reached[m])
+        if live:
+            base = sum((value[rows[n][c]] >> shift) & mask for n in live)
+            for a, label in enumerate(iset.actions):
+                if a == c:
                     continue
-                alt = sum(
-                    (p * values[h + (a,)][owner - 1] for h, p in belief.items()),
-                    Fraction(0),
-                )
-                if alt > base:
+                gain = sum((value[rows[n][a]] >> shift) & mask for n in live) - base
+                if gain > 0:
+                    belief, total = _core.posterior(k, live)
+                    delta = Fraction(gain, total)
                     violations.append(
-                        SseViolation(
-                            iset.key,
-                            True,
-                            None,
-                            tuple(sorted(belief.items())),
-                            chosen,
-                            a,
-                            alt - base,
-                        )
+                        SseViolation(iset.key, True, None, belief, chosen, label, delta)
                     )
         else:
-            for h in iset.members:
-                base = values[h + (chosen,)][owner - 1]
-                for a in iset.actions:
-                    if a == chosen:
+            for h, m, row in zip(iset.members, members, rows):
+                base = (value[row[c]] >> shift) & mask
+                for a, label in enumerate(iset.actions):
+                    if a == c:
                         continue
-                    alt = values[h + (a,)][owner - 1]
-                    if alt > base:
+                    gain = ((value[row[a]] >> shift) & mask) - base
+                    if gain > 0:
+                        delta = Fraction(gain, weight[m])
                         violations.append(
-                            SseViolation(iset.key, False, h, None, chosen, a, alt - base)
+                            SseViolation(iset.key, False, h, None, chosen, label, delta)
                         )
-    return SseCertificate(not violations, tuple(violations), {"ops": ops})
+    return SseCertificate(not violations, tuple(violations), {"ops": _core.ops})
 
 
 def _value_under(
@@ -230,9 +229,8 @@ def enumerate_sse(
     if size > cap:
         raise CapExceededError(f"{size} profiles exceed cap {cap}", size)
     _require_recall(game)
-    return [
-        s for s in all_profiles(game) if is_sse(game, s, _assume_recall=True).verdict
-    ]
+    core = _IntCore(game)
+    return [s for s in all_profiles(game) if is_sse(game, s, _core=core).verdict]
 
 
 def max_total_utility_sse(

@@ -38,6 +38,13 @@ def _rat(text: Any, where: str) -> Fraction:
         raise GameFileError(f"{where}: bad rational {text!r} ({exc})")
 
 
+def _field(record: dict, name: str, where: str) -> Any:
+    try:
+        return record[name]
+    except KeyError:
+        raise GameFileError(f"{where}: missing field {name!r}") from None
+
+
 def game_to_doc(game: GameTree, beliefs: BeliefSystem | None = None) -> dict:
     nodes: dict[str, dict] = {}
     for h in sorted(game.nodes):
@@ -98,27 +105,34 @@ def game_from_doc(doc: Any) -> tuple[GameTree, BeliefSystem | None]:
         raw_sets = doc["info_sets"]
     except KeyError as exc:
         raise GameFileError(f"missing field {exc}")
+    if not isinstance(raw_nodes, dict):
+        raise GameFileError("nodes: must be an object mapping paths to node records")
     nodes: dict[History, Node] = {}
     for path, record in raw_nodes.items():
         h = history_from_path(path)
         where = f"nodes[{path!r}]"
+        if not isinstance(record, dict):
+            raise GameFileError(f"{where}: must be an object")
         if "payments" in record:
             payments = tuple(_rat(r, where) for r in record["payments"])
             nodes[h] = TerminalNode(payments, int(record.get("answer_bit", 0)))
         else:
-            player = int(record["player"])
-            actions = tuple(record["actions"])
+            player = int(_field(record, "player", where))
+            actions = tuple(_field(record, "actions", where))
             dist = None
             if record.get("dist") is not None:
                 dist = tuple(_rat(p, where) for p in record["dist"])
             nodes[h] = DecisionNode(player, actions, dist)
     sets = []
-    for record in raw_sets:
+    for n, record in enumerate(raw_sets):
+        where = f"info_sets[{n}]"
+        if not isinstance(record, dict):
+            raise GameFileError(f"{where}: must be an object")
         sets.append(
             InformationSet(
-                int(record["owner"]),
-                tuple(sorted(history_from_path(m) for m in record["members"])),
-                tuple(record["actions"]),
+                int(_field(record, "owner", where)),
+                tuple(sorted(history_from_path(m) for m in _field(record, "members", where))),
+                tuple(_field(record, "actions", where)),
             )
         )
     game = GameTree(provers, nodes, tuple(sets), dict(doc.get("meta") or {}))

@@ -147,8 +147,11 @@ def check_gap_closeness(
     """True when no prover acting in a subform reached under `s` would gain
     1/alpha or more from the dominant play spliced into that subform."""
     threshold = gap_threshold(alpha)
+    return _closes(game, _SpliceScan(game, s_star), s, threshold)
+
+
+def _closes(game: GameTree, scan: _SpliceScan, s: StrategyProfile, threshold: Fraction) -> bool:
     require_total_profile(game, s)
-    scan = _SpliceScan(game, s_star)
     for sf, _, loss in scan.losses(s, *reached_subtree(game, s)):
         if any(loss[j - 1] >= threshold for j in actors_in(game, sf)):
             return False
@@ -267,10 +270,12 @@ def subinterval_profile_check(
         s_star = dominants[0]
     star_vec = utility_vector(game, s_star)
     star_intervals = tuple(subinterval_index(u, alpha) for u in star_vec)
+    threshold = gap_threshold(alpha)
+    scan = _SpliceScan(game, s_star)
     checked = 0
     violations = []
     for s in sse_set:
-        if check_gap_closeness(game, s, s_star, alpha):
+        if _closes(game, scan, s, threshold):
             continue
         checked += 1
         vec = utility_vector(game, s)

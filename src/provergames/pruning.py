@@ -21,6 +21,7 @@ from .trees import (
     continuation_values,
     path_of,
     require_total_profile,
+    utility_vector,
 )
 
 
@@ -146,6 +147,19 @@ class PruningReport:
         )
 
 
+def _in_class(game: GameTree, s: StrategyProfile, dominant: StrategyProfile | None) -> bool:
+    """`s` is an SSE with the utility vector and answer distribution of `dominant`."""
+    from .equilibrium import is_sse
+    from .gaps import answer_bit_distribution
+
+    return (
+        dominant is not None
+        and is_sse(game, s).verdict
+        and utility_vector(game, s) == utility_vector(game, dominant)
+        and answer_bit_distribution(game, s) == answer_bit_distribution(game, dominant)
+    )
+
+
 def verify_pruning(
     original: GameTree,
     pruned: GameTree,
@@ -163,7 +177,7 @@ def verify_pruning(
     """
     from .equilibrium import DEFAULT_PROFILE_CAP, enumerate_sse
     from .subforms import dominant_sse_set, find_dominant_sse, is_perfect_information
-    from .trees import profile_space_size, utility_vector
+    from .trees import profile_space_size
 
     notes: list[str] = []
     support = []
@@ -203,11 +217,17 @@ def verify_pruning(
                         pruned, enumerate_sse(pruned, cap=cap)
                     )
             elif is_perfect_information(original):
-                dominance_checked = True
-                dom0 = find_dominant_sse(original, profile_cap=cap)
-                dom1 = find_dominant_sse(pruned, profile_cap=cap)
-                dominance_ok = dom0 is not None and dom1 is not None
-                notes.append("dominance compared via the perfect-information search")
+                if not _in_class(original, s, find_dominant_sse(original, profile_cap=cap)):
+                    notes.append("profile is not in the dominant class of the original game")
+                else:
+                    dominance_checked = True
+                    dominance_ok = _in_class(
+                        pruned, s, find_dominant_sse(pruned, profile_cap=cap)
+                    )
+                    notes.append(
+                        "dominance compared by class via the perfect-information search: "
+                        "an SSE with the dominant SSE's utility vector and answer distribution"
+                    )
             else:
                 notes.append("dominance check skipped: profile space over cap")
         except CapExceededError as exc:

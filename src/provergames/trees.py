@@ -10,12 +10,13 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Union
 
-from .errors import BeliefError, ProfileError, UnknownHistoryError
+from .errors import BeliefError, ProfileError, StructureError, UnknownHistoryError
 
 NATURE = 0  # player id of the chance player; provers are 1..p
 
@@ -471,6 +472,132 @@ def reached_subtree(
         else:
             values[h] = values[h + (s.action(set_of[h].key),)]
     return reach, values
+
+
+class _IntCore:
+    """A game compiled to int-indexed arrays for exact integer evaluation.
+
+    Nodes are numbered in `topo_order`. Node h gets a weight W'(h): the
+    product of the Nature probabilities on its path since the last
+    zero-probability Nature edge, or since the root, so W'(h) > 0 even below
+    such an edge. With D = Dw*Du, where Dw and Du are the common denominators
+    of the weights and of the payments, `weight[h]` is the integer D*W'(h).
+    Under a pure profile the value of h is the sum of D*W'(t)*u(t) over the
+    terminals t that play and positive Nature moves lead to from h: D*W'(h)
+    times the continuation value of h. Nature weights therefore cancel from
+    every comparison between children of one history, and from comparisons
+    between sums over the reached members of a set, where W' is the reach
+    probability.
+
+    A value is packed into one int, prover j in bits [(j-1)*bits, j*bits).
+    Each field is raised by K*Dw*W'(h), K >= |Du*u| for every payment u, so
+    no field is negative or overflows and sums never carry between fields.
+    Prover moves keep the raise, so it cancels from the same comparisons.
+    Compile once per analysis, not per tree: the object holds arrays the size
+    of the tree.
+    """
+
+    def __init__(self, game: GameTree):
+        self.game = game
+        order, nodes = game.topo_order, game.nodes
+        index = {h: i for i, h in enumerate(order)}
+        w = [Fraction(1)] * len(order)  # W'
+        self.kids: list[tuple[int, ...]] = [()] * len(order)  # live ones under Nature
+        self.set_of = [-1] * len(order)  # sorted_sets index of a prover node
+        self.sets = game.sorted_sets
+        self.members = tuple(tuple(index[h] for h in iset.members) for iset in self.sets)
+        for k, members in enumerate(self.members):
+            for i in members:
+                self.set_of[i] = k
+        terminals = []
+        for i, h in enumerate(order):
+            node = nodes[h]
+            if isinstance(node, TerminalNode):
+                terminals.append(i)
+            elif node.player == NATURE:
+                live = []
+                for a, p in zip(node.actions, node.dist):
+                    c = index[h + (a,)]
+                    if p:
+                        w[c] = w[i] * p
+                        live.append(c)
+                self.kids[i] = tuple(live)
+            else:
+                k = self.set_of[i]
+                if k < 0 or self.sets[k].actions != node.actions:
+                    raise StructureError(
+                        f"history {path_of(h)!r} has no information set with its actions"
+                    )
+                self.kids[i] = tuple(index[h + (a,)] for a in node.actions)
+                for c in self.kids[i]:
+                    w[c] = w[i]
+        # D*W'(t)*u = (Dw*W'(t)) * (Du*u), a product of integers.
+        Dw = math.lcm(*{x.denominator for x in w})
+        Du = math.lcm(*{u.denominator for t in terminals for u in nodes[order[t]].payments})
+        wint = [x.numerator * (Dw // x.denominator) for x in w]
+        self.weight = [Du * x for x in wint]
+        pay = {
+            t: [u.numerator * (Du // u.denominator) for u in nodes[order[t]].payments]
+            for t in terminals
+        }
+        K = max((abs(x) for row in pay.values() for x in row), default=0)
+        self.bits = (2 * K * Dw).bit_length()
+        self.mask = (1 << self.bits) - 1
+        self.leaf = [0] * len(order)
+        for t, row in pay.items():
+            for j, x in enumerate(row):
+                self.leaf[t] |= wint[t] * (x + K) << (j * self.bits)
+        self.bottom_up = tuple(
+            (i, self.kids[i], self.set_of[i])
+            for i in reversed(range(len(order)))
+            if i not in pay
+        )
+        self.rows = tuple(tuple(self.kids[m] for m in members) for members in self.members)
+        self._keyed = tuple(
+            (iset.key, {a: n for n, a in enumerate(iset.actions)}) for iset in self.sets
+        )
+        self.ops = len(order) + sum(len(i.members) * len(i.actions) for i in self.sets)
+        self._posteriors: dict[tuple[int, tuple[int, ...]], tuple] = {}
+
+    def choices(self, s: StrategyProfile) -> list[int]:
+        """Index of the chosen action at each set, in `sorted_sets` order."""
+        try:
+            return [actions[s._map[key]] for key, actions in self._keyed]
+        except KeyError:
+            require_total_profile(self.game, s)  # raises the ProfileError
+            raise
+
+    def evaluate(self, choice: list[int]) -> tuple[list[int], bytearray]:
+        """Packed node values and reached flags under the profile `choice`."""
+        value = self.leaf[:]
+        get = value.__getitem__
+        for i, kids, k in self.bottom_up:
+            value[i] = sum(map(get, kids)) if k < 0 else value[kids[choice[k]]]
+        reached = bytearray(len(value))
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            reached[i] = 1
+            k = self.set_of[i]
+            if k < 0:
+                stack.extend(self.kids[i])
+            else:
+                stack.append(self.kids[i][choice[k]])
+        return value, reached
+
+    def posterior(self, k: int, live: tuple[int, ...]) -> tuple[tuple, int]:
+        """Bayes belief over the members of set `k` when exactly the members at
+        positions `live` are reached, and the common denominator D*sum W'."""
+        key = (k, live)
+        if key not in self._posteriors:
+            members = self.members[k]
+            total = sum(self.weight[members[n]] for n in live)
+            p = [Fraction(0)] * len(members)
+            for n in live:
+                p[n] = Fraction(self.weight[members[n]], total)
+            belief = tuple(sorted(zip(self.sets[k].members, p)))
+            self._posteriors[key] = (belief, total)
+        return self._posteriors[key]
 
 
 def expected_utility(game: GameTree, s: StrategyProfile, prover: int) -> Fraction:

@@ -234,6 +234,43 @@ class TestErrors:
         assert code == 0
 
 
+class TestInputBoundary:
+    GAME = {
+        "format": "game/1",
+        "provers": 1,
+        "nodes": {
+            "": {"player": 1, "actions": ["x", "y"]},
+            "x": {"payments": ["0"], "answer_bit": 0},
+            "y": {"payments": ["1/2"], "answer_bit": 1},
+        },
+        "info_sets": [{"owner": 1, "members": [""], "actions": ["x", "y"]}],
+    }
+
+    def write(self, tmp_path, **changes):
+        path = tmp_path / "input.game"
+        path.write_text(json.dumps({**self.GAME, **changes}))
+        return path
+
+    def test_check_sse_on_game_with_missing_child(self, tmp_path, capsys):
+        nodes = dict(self.GAME["nodes"])
+        del nodes["y"]
+        game = self.write(tmp_path, nodes=nodes)
+        strategy = tmp_path / "y.strategy"
+        strategy.write_text(json.dumps({"format": "strategy/1", "choices": {"": "y"}}))
+        code, out, err = run(capsys, "check-sse", game, strategy)
+        assert code == 2 and out == ""
+        assert "missing-child" in err and "Traceback" not in err
+
+    def test_nodes_not_an_object(self, tmp_path, capsys):
+        code, _, err = run(capsys, "validate", self.write(tmp_path, nodes=[]))
+        assert code == 2 and "nodes" in err and "Traceback" not in err
+
+    def test_decision_node_without_player(self, tmp_path, capsys):
+        nodes = dict(self.GAME["nodes"], **{"": {"actions": ["x", "y"]}})
+        code, _, err = run(capsys, "validate", self.write(tmp_path, nodes=nodes))
+        assert code == 2 and "missing field 'player'" in err and "Traceback" not in err
+
+
 class TestRationalFlags:
     @pytest.mark.parametrize("alpha", ["0", "1/0", "-2"])
     def test_check_gap_rejects_bad_alpha(self, tmp_path, capsys, alpha):

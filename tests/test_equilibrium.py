@@ -6,23 +6,85 @@ from fractions import Fraction as F
 import pytest
 
 from provergames.equilibrium import (
+    SseCertificate,
+    SseViolation,
+    _require_recall,
     enumerate_sse,
     is_sse,
     is_sse_bruteforce,
     max_total_utility_sse,
 )
 from provergames.errors import CapExceededError, ImperfectRecallError
+from provergames.pruning import prune_nature
 from provergames.trees import (
+    NATURE,
     DecisionNode,
     GameTree,
     InformationSet,
     StrategyProfile,
     TerminalNode,
+    all_profiles,
+    continuation_values,
     make_game,
+    profile_space_size,
+    reach_map,
+    require_total_profile,
     utility_vector,
 )
 
-from randgames import random_game, random_profile
+from randgames import random_game, random_profile, random_root_lottery_game
+
+
+def is_sse_fraction(game: GameTree, s: StrategyProfile) -> SseCertificate:
+    """Reference one-shot check in Fractions: full-tree value and reach passes."""
+    _require_recall(game)
+    require_total_profile(game, s)
+    values = continuation_values(game, s)
+    reach = reach_map(game, s)
+    ops = len(game.nodes)  # continuation pass
+    violations = []
+    for iset in game.sorted_sets:
+        owner = iset.owner
+        chosen = s.action(iset.key)
+        total = sum((reach[h] for h in iset.members), F(0))
+        ops += len(iset.members) * len(iset.actions)
+        if total > 0:
+            belief = {h: reach[h] / total for h in iset.members}
+            base = sum(
+                (p * values[h + (chosen,)][owner - 1] for h, p in belief.items()), F(0)
+            )
+            for a in iset.actions:
+                if a == chosen:
+                    continue
+                alt = sum(
+                    (p * values[h + (a,)][owner - 1] for h, p in belief.items()), F(0)
+                )
+                if alt > base:
+                    violations.append(
+                        SseViolation(
+                            iset.key, True, None, tuple(sorted(belief.items())),
+                            chosen, a, alt - base,
+                        )
+                    )
+        else:
+            for h in iset.members:
+                base = values[h + (chosen,)][owner - 1]
+                for a in iset.actions:
+                    if a == chosen:
+                        continue
+                    alt = values[h + (a,)][owner - 1]
+                    if alt > base:
+                        violations.append(
+                            SseViolation(iset.key, False, h, None, chosen, a, alt - base)
+                        )
+    return SseCertificate(not violations, tuple(violations), {"ops": ops})
+
+
+def assert_same_certificate(game, s):
+    fast, ref = is_sse(game, s), is_sse_fraction(game, s)
+    assert fast == ref  # verdict and violations, deltas and beliefs included
+    assert fast.stats == ref.stats
+    assert repr(fast) == repr(ref)
 
 
 def one_shot_game(payments):
@@ -95,6 +157,107 @@ class TestIsSse:
                 default=1,
             )
             assert stats["ops"] <= 3 * len(game.nodes) * max_actions
+
+
+class TestIntegerCore:
+    def test_certificates_match_fraction_reference(self, k3, nexp_unsat_third, nexp_sat):
+        rng = random.Random(2024)
+        games = []
+        for _ in range(40):
+            game = random_game(rng, max_nodes=80, max_prover_sets=6)
+            games.append(game)
+            for alpha in (1, 2):
+                s = random_profile(rng, game)
+                games.append(prune_nature(game, s, alpha, rng.randint(1, 2))[0])
+        for _ in range(15):
+            game = random_root_lottery_game(rng, profile_cap=512)
+            games.append(game)
+            games.append(prune_nature(game, random_profile(rng, game), 1, 1)[0])
+        zero_edges = sum(
+            1
+            for game in games
+            for node in game.nodes.values()
+            if isinstance(node, DecisionNode) and node.dist and 0 in node.dist
+        )
+        assert zero_edges > 0  # the pruned games exercise the restarted weights
+        for game in games:
+            for _ in range(6):
+                assert_same_certificate(game, random_profile(rng, game))
+        for build in (k3, nexp_unsat_third, nexp_sat):
+            assert_same_certificate(build.game, build.honest)
+            for _ in range(8):
+                assert_same_certificate(build.game, random_profile(rng, build.game))
+
+    def test_enumeration_matches_fraction_reference(self, nexp_unsat_third):
+        rng = random.Random(99)
+        games = [nexp_unsat_third.game]
+        while len(games) < 25:
+            game = random_game(rng, max_nodes=60, max_prover_sets=5, max_actions=2)
+            if profile_space_size(game) <= 256:
+                games.append(game)
+                games.append(prune_nature(game, random_profile(rng, game), 1, 1)[0])
+        for game in games:
+            assert enumerate_sse(game) == [
+                s for s in all_profiles(game) if is_sse_fraction(game, s).verdict
+            ]
+
+    def test_unreached_violation_below_zero_probability_edge(self):
+        # Nature never plays "z"; below it Nature weighs (1/3, 2/3) and the
+        # prover at ("z", "l") passes up 3/4 * 1/2 + 1/4 * 0 = 3/8 for 0.
+        nodes = {
+            (): DecisionNode(NATURE, ("y", "z"), (F(1), F(0))),
+            ("y",): TerminalNode((F(0),), 0),
+            ("z",): DecisionNode(NATURE, ("l", "r"), (F(1, 3), F(2, 3))),
+            ("z", "r"): TerminalNode((F(1),), 0),
+            ("z", "l"): DecisionNode(1, ("x", "w")),
+            ("z", "l", "w"): TerminalNode((F(0),), 0),
+            ("z", "l", "x"): DecisionNode(NATURE, ("p", "q"), (F(3, 4), F(1, 4))),
+            ("z", "l", "x", "p"): TerminalNode((F(1, 2),), 1),
+            ("z", "l", "x", "q"): TerminalNode((F(0),), 0),
+        }
+        game = make_game(1, nodes)
+        s = StrategyProfile.from_dict({"z/l": "w"})
+        cert = is_sse(game, s)
+        assert cert.violations == (
+            SseViolation("z/l", False, ("z", "l"), None, "w", "x", F(3, 8)),
+        )
+        assert_same_certificate(game, s)
+
+    def test_reached_set_with_unequal_nature_weights(self):
+        # One set over ("l",) and ("r",), reached with weights 1/4 and 3/4.
+        nodes = {
+            (): DecisionNode(NATURE, ("l", "r"), (F(1, 4), F(3, 4))),
+            ("l",): DecisionNode(1, ("a", "b")),
+            ("r",): DecisionNode(1, ("a", "b")),
+            ("l", "a"): TerminalNode((F(1),), 1),
+            ("l", "b"): TerminalNode((F(0),), 0),
+            ("r", "a"): TerminalNode((F(0),), 0),
+            ("r", "b"): TerminalNode((F(1, 2),), 1),
+        }
+        iset = InformationSet(1, (("l",), ("r",)), ("a", "b"))
+        game = GameTree(1, nodes, (iset,))
+        s = StrategyProfile.from_dict({iset.key: "a"})  # 1/4 against 3/8 for "b"
+        (v,) = is_sse(game, s).violations
+        assert v.reachable and v.better == "b" and v.delta == F(1, 8)
+        assert v.belief == ((("l",), F(1, 4)), (("r",), F(3, 4)))
+        assert_same_certificate(game, s)
+        assert is_sse(game, s.replace(iset.key, "b")).verdict
+
+    def test_deep_nature_chain_is_not_recursive(self):
+        depth = 3000
+        nodes = {}
+        h = ()
+        for _ in range(depth):
+            nodes[h] = DecisionNode(NATURE, ("n",), (F(1),))
+            h += ("n",)
+        nodes[h] = DecisionNode(1, ("a", "b"))
+        nodes[h + ("a",)] = TerminalNode((F(1, 2),), 1)
+        nodes[h + ("b",)] = TerminalNode((F(0),), 0)
+        game = make_game(1, nodes)
+        key = game.info_sets[0].key
+        assert is_sse(game, StrategyProfile.from_dict({key: "a"})).verdict
+        (v,) = is_sse(game, StrategyProfile.from_dict({key: "b"})).violations
+        assert v.delta == F(1, 2)
 
 
 class TestBruteforceAgreement:

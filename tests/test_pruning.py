@@ -200,6 +200,20 @@ class TestVerifyPruning:
                 assert rep.claim2_ok
                 assert all(e.ok for e in rep.support)
 
+    def test_perfect_information_branch_checks_the_profile(self, k3):
+        # K3 has about 9.7e17 profiles, so dominance goes through the
+        # perfect-information search; a non-SSE profile must not pass it.
+        game = k3.game
+        root = game.set_by_history[()].key
+        bad = k3.honest.replace(root, "no")
+        pruned, _ = prune_nature(game, bad, 1, 1)
+        rep = verify_pruning(game, pruned, bad, 1, designated_prover=1)
+        assert not rep.dominance_checked and rep.dominance_ok is None
+        assert "profile is not in the dominant class of the original game" in rep.notes
+        pruned, _ = prune_nature(game, k3.honest, 1, 1)
+        rep = verify_pruning(game, pruned, k3.honest, 1, designated_prover=1)
+        assert rep.dominance_checked and rep.dominance_ok is True and rep.ok
+
     def test_drift_is_exact_rational(self, nexp_unsat_third):
         game, s = nexp_unsat_third.game, nexp_unsat_third.honest
         pruned, _ = prune_nature(game, s, 2, 1)
