@@ -23,7 +23,7 @@ from .protocols import (
     build_pnexp_protocol,
     build_three_coloring,
     fixed_soundness_mip,
-    mip_from_params,
+    mips_from_doc,
     parse_dimacs,
     toy_clause_variable_mip,
 )
@@ -106,33 +106,11 @@ def _cmd_build(args) -> int:
     elif args.protocol == "pnexp":
         with open(args.instance) as fp:
             doc = gamefile.loads(fp.read())
-        next_query = {}
-        for key, q2 in doc.get("next", {}).items():
-            q, b = key.rsplit(",", 1)
-            next_query[(q, int(b))] = q2
-        script = OracleScript(
-            doc["first"],
-            next_query,
-            {tuple(int(b) for b in bits): int(out) for bits, out in doc["output"].items()},
-            int(doc["num_queries"]),
-        )
-        mips = {q: mip_from_params(p) for q, p in doc["mips"].items()}
-        build = build_pnexp_protocol(script, mips)
+        build = build_pnexp_protocol(OracleScript.from_doc(doc), mips_from_doc(doc))
     elif args.protocol == "mrip":
         with open(args.instance) as fp:
             doc = gamefile.loads(fp.read())
-        payments = {
-            tuple(tuple(per.split("+")) for per in key.split(";")): rational(r)
-            for key, r in doc["payments"].items()
-        }
-        build = build_mrip_simulation(
-            MripSpec(
-                int(doc["provers"]),
-                int(doc["rounds"]),
-                tuple(doc["alphabet"]),
-                payments,
-            )
-        )
+        build = build_mrip_simulation(MripSpec.from_doc(doc))
     else:  # pragma: no cover - argparse restricts choices
         raise GameError(f"unknown protocol {args.protocol}")
     doc = gamefile.game_to_doc(build.game)

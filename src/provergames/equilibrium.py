@@ -80,19 +80,19 @@ def is_sse(
         _core = _IntCore(game)
     choice = _core.choices(s)
     value, reached = _core.evaluate(choice)
-    bits, mask, weight = _core.bits, _core.mask, _core.weight
+    field, weight = _core.field, _core.weight
     violations = []
     for k, iset in enumerate(_core.sets):
-        shift = (iset.owner - 1) * bits
+        owner = iset.owner
         members, rows, c = _core.members[k], _core.rows[k], choice[k]
         chosen = iset.actions[c]
         live = tuple(n for n, m in enumerate(members) if reached[m])
         if live:
-            base = sum((value[rows[n][c]] >> shift) & mask for n in live)
+            base = sum(field(value[rows[n][c]], owner) for n in live)
             for a, label in enumerate(iset.actions):
                 if a == c:
                     continue
-                gain = sum((value[rows[n][a]] >> shift) & mask for n in live) - base
+                gain = sum(field(value[rows[n][a]], owner) for n in live) - base
                 if gain > 0:
                     belief, total = _core.posterior(k, live)
                     delta = Fraction(gain, total)
@@ -101,11 +101,11 @@ def is_sse(
                     )
         else:
             for h, m, row in zip(iset.members, members, rows):
-                base = (value[row[c]] >> shift) & mask
+                base = field(value[row[c]], owner)
                 for a, label in enumerate(iset.actions):
                     if a == c:
                         continue
-                    gain = ((value[row[a]] >> shift) & mask) - base
+                    gain = field(value[row[a]], owner) - base
                     if gain > 0:
                         delta = Fraction(gain, weight[m])
                         violations.append(

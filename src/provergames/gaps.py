@@ -12,8 +12,11 @@ with no other member as a prefix), and by linearity the splice loss is
 
     sum over frontier members m of reach_s(m) * (V_s_star(m) - V_s(m))
 
-with V the continuation values: one pass for `s_star` per call and one pass
-over the reached histories per profile. `splice` stays the literal oracle.
+with V the continuation values. The scans read it off the integer core of
+`trees` (`_IntCore`): at a reached m the difference of the two profiles'
+fields is D*reach_s(m) times the difference of the values, so each loss is
+one exact Fraction over D. That costs one evaluation of `s_star` per call and
+one per profile. `splice` stays the literal oracle.
 """
 
 from __future__ import annotations
@@ -27,15 +30,14 @@ from .trees import (
     GameTree,
     StrategyProfile,
     TerminalNode,
+    _IntCore,
     all_profiles,
-    continuation_values,
     profile_space_size,
     reach_map,
-    reached_subtree,
     require_total_profile,
     utility_vector,
 )
-from .subforms import Subform, actors_in, find_subforms, sets_in
+from .subforms import Subform, find_subforms, sets_in
 
 
 def answer_bit_distribution(
@@ -81,35 +83,42 @@ def gap_threshold(alpha: Fraction | int) -> Fraction:
 
 
 class _SpliceScan:
-    """Closed-form splice losses against a fixed `s_star`."""
+    """Closed-form splice losses against a fixed `s_star`, on one integer core."""
 
     def __init__(self, game: GameTree, s_star: StrategyProfile):
-        require_total_profile(game, s_star)
-        self.provers = game.provers
-        self.star = continuation_values(game, s_star)
-        self.plan = []  # (subform, frontier, (key, owner, s_star action) of sets inside)
+        self.core = core = _IntCore(game)
+        star_choice = core.choices(s_star)
+        self.star, _ = core.evaluate(star_choice)
+        set_no = {iset: k for k, iset in enumerate(core.sets)}
+        self.plan = []  # (subform, frontier, actors, (set, owner, s_star action) inside)
         for sf in find_subforms(game):
             members = ((),) if sf.root_set is None else sf.root_set.members
             frontier = [m for m in members if not any(o != m and m[: len(o)] == o for o in members)]
-            inside = [(i.key, i.owner, s_star.action(i.key)) for i in sets_in(game, sf)]
-            self.plan.append((sf, frontier, inside))
+            inside = [(set_no[i], i.owner, star_choice[set_no[i]]) for i in sets_in(game, sf)]
+            actors = tuple(sorted({owner for _, owner, _ in inside}))
+            self.plan.append((sf, [core.index[m] for m in frontier], actors, inside))
 
-    def losses(
-        self, s: StrategyProfile, reach: dict, values: dict
-    ) -> Iterator[tuple[Subform, list[int], tuple[Fraction, ...]]]:
-        """(subform, deviators, loss) per subform that `s` reaches and deviates in,
-        in canonical order, given `reached_subtree(game, s)`; `loss[j - 1]` is
-        prover j's utility under the splice minus under `s`."""
-        for sf, frontier, inside in self.plan:
-            entries = [m for m in frontier if m in reach]
+    def evaluate(self, s: StrategyProfile) -> tuple[list[int], list[int], bytearray]:
+        """`s` as set choices, and the core's values and reached flags under it."""
+        choice = self.core.choices(s)
+        return (choice, *self.core.evaluate(choice))
+
+    def losses(self, choice: list[int], value: list[int], reached: bytearray) -> Iterator[tuple]:
+        """(subform, actors, deviators, loss) per subform that `evaluate`'s profile
+        reaches and deviates in, in canonical order; `loss[j - 1]` is prover j's
+        utility under the splice minus under the profile."""
+        field, star, scale = self.core.field, self.star, self.core.scale
+        provers = range(1, self.core.game.provers + 1)
+        for sf, frontier, actors, inside in self.plan:
+            entries = [m for m in frontier if reached[m]]
             if not entries:
                 continue
-            deviators = sorted({owner for key, owner, a in inside if s.action(key) != a})
-            if not deviators:  # the splice is `s` itself
+            deviators = sorted({owner for k, owner, a in inside if choice[k] != a})
+            if not deviators:  # the splice is the profile itself
                 continue
-            yield sf, deviators, tuple(
-                sum((reach[m] * (self.star[m][j] - values[m][j]) for m in entries), Fraction(0))
-                for j in range(self.provers)
+            yield sf, actors, deviators, tuple(
+                Fraction(sum(field(star[m], j) - field(value[m], j) for m in entries), scale)
+                for j in provers
             )
 
 
@@ -129,9 +138,8 @@ def find_gap_witness(
     """First subform/prover pair whose splice gain exceeds 1/alpha, scanning
     subforms in canonical (height-ascending) order."""
     threshold = gap_threshold(alpha)
-    require_total_profile(game, s_prime)
     scan = _SpliceScan(game, s_star)
-    for sf, deviators, loss in scan.losses(s_prime, *reached_subtree(game, s_prime)):
+    for sf, _, deviators, loss in scan.losses(*scan.evaluate(s_prime)):
         for j in deviators:
             if loss[j - 1] > threshold:
                 return GapWitness(sf.key, j, loss[j - 1])
@@ -147,13 +155,12 @@ def check_gap_closeness(
     """True when no prover acting in a subform reached under `s` would gain
     1/alpha or more from the dominant play spliced into that subform."""
     threshold = gap_threshold(alpha)
-    return _closes(game, _SpliceScan(game, s_star), s, threshold)
+    return _closes(_SpliceScan(game, s_star), s, threshold)
 
 
-def _closes(game: GameTree, scan: _SpliceScan, s: StrategyProfile, threshold: Fraction) -> bool:
-    require_total_profile(game, s)
-    for sf, _, loss in scan.losses(s, *reached_subtree(game, s)):
-        if any(loss[j - 1] >= threshold for j in actors_in(game, sf)):
+def _closes(scan: _SpliceScan, s: StrategyProfile, threshold: Fraction) -> bool:
+    for _, actors, _, loss in scan.losses(*scan.evaluate(s)):
+        if any(loss[j - 1] >= threshold for j in actors):
             return False
     return True
 
@@ -200,18 +207,20 @@ def verify_utility_gap(
         raise CapExceededError(f"{size} profiles exceed cap {cap}", size)
 
     scan = _SpliceScan(game, s_star)
-    correct = {t for t in game.terminals if game.nodes[t].answer_bit == correct_bit}
+    wrong_bit = [
+        scan.core.index[t] for t in game.terminals if game.nodes[t].answer_bit != correct_bit
+    ]
     verdict = True
     wrong = 0
     measured: Fraction | None = None
     worst: WrongProfileRow | None = None
     for s in all_profiles(game):
-        reach, values = reached_subtree(game, s)
-        if sum((r for h, r in reach.items() if h in correct), Fraction(0)) == 1:
+        choice, value, reached = scan.evaluate(s)
+        if not any(map(reached.__getitem__, wrong_bit)):
             continue
         wrong += 1
         best: tuple[Fraction, str, int] | None = None
-        for sf, deviators, loss in scan.losses(s, reach, values):
+        for sf, _, deviators, loss in scan.losses(choice, value, reached):
             for j in deviators:
                 if best is None or loss[j - 1] > best[0]:
                     best = (loss[j - 1], sf.key, j)
@@ -275,7 +284,7 @@ def subinterval_profile_check(
     checked = 0
     violations = []
     for s in sse_set:
-        if _closes(game, scan, s, threshold):
+        if _closes(scan, s, threshold):
             continue
         checked += 1
         vec = utility_vector(game, s)

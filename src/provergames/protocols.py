@@ -25,11 +25,24 @@ from .trees import (
     StrategyProfile,
     TerminalNode,
     group_info_sets,
+    rational,
 )
 
 VERTEX_CAP = 4
 QUERY_CAP = 3
 P2_STRATEGY_CAP = 1 << 20
+
+def _get(doc: Any, key: str, kind: type, where: str = "") -> Any:
+    """`doc[key]`, which must be a `kind`; a spec document comes from outside,
+    so a missing or ill-typed key raises `GameError` naming it."""
+    if not isinstance(doc, dict):
+        raise GameError(f"{where.rstrip('.') or 'document'} must be an object")
+    if key not in doc:
+        raise GameError(f"missing key {where + key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise GameError(f"key {where + key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -302,17 +315,30 @@ def toy_clause_variable_mip(
     )
 
 
-def mip_from_params(params: Mapping[str, Any]) -> MipBlackbox:
-    kind = params.get("kind")
+def mip_from_params(params: Mapping[str, Any], where: str = "") -> MipBlackbox:
+    """The blackbox a `MipBlackbox.params` document describes; `where` prefixes
+    the key names in error messages."""
+    kind = _get(params, "kind", str, where)
     if kind == "fixed":
-        return fixed_soundness_mip(int(params["accepting"]), int(params["total"]))
+        return fixed_soundness_mip(
+            _get(params, "accepting", int, where), _get(params, "total", int, where)
+        )
     if kind == "clause_var":
+        clauses = _get(params, "clauses", list, where)
+        if not all(isinstance(c, list) and all(type(x) is int for x in c) for c in clauses):
+            raise GameError(f"key {where + 'clauses'!r} must be a list of integer lists")
         return toy_clause_variable_mip(
-            tuple(tuple(c) for c in params["clauses"]),
-            int(params["num_vars"]),
-            int(params["repetitions"]),
+            tuple(tuple(c) for c in clauses),
+            _get(params, "num_vars", int, where),
+            _get(params, "repetitions", int, where),
         )
     raise GameError(f"unknown blackbox kind {kind!r}")
+
+
+def mips_from_doc(doc: Mapping[str, Any]) -> dict[str, MipBlackbox]:
+    """The `mips` object of a machine-script document: query name -> blackbox."""
+    mips = _get(doc, "mips", dict)
+    return {q: mip_from_params(_get(mips, q, dict, "mips."), f"mips.{q}.") for q in mips}
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +504,37 @@ class OracleScript:
     output: Mapping[tuple[int, ...], int]
     num_queries: int
 
+    @classmethod
+    def from_doc(cls, doc: Mapping[str, Any]) -> "OracleScript":
+        """Parse a machine-script document or a pnexp game's metadata: `first`,
+        `next` ("query,bit" -> query; optional), `output` (bit string -> answer)
+        and `num_queries`."""
+        first = _get(doc, "first", str)
+        next_query = {}
+        nxt = _get(doc, "next", dict) if "next" in doc else {}
+        for key in nxt:
+            q, _, b = key.rpartition(",")
+            if not q or b not in ("0", "1"):
+                raise GameError(f"key {'next.' + key!r} must be 'query,bit'")
+            next_query[(q, int(b))] = _get(nxt, key, str, "next.")
+        output = _get(doc, "output", dict)
+        for bits in output:
+            if not bits or set(bits) - {"0", "1"}:
+                raise GameError(f"key {'output.' + bits!r} must be a string of 0s and 1s")
+        return cls(
+            first,
+            next_query,
+            {tuple(int(b) for b in bits): _get(output, bits, int, "output.") for bits in output},
+            _get(doc, "num_queries", int),
+        )
+
     def query_path(self, bits: Sequence[int]) -> list[str]:
         path = [self.first]
         for i in range(1, self.num_queries):
-            path.append(self.next_query[(path[-1], bits[i - 1])])
+            q = self.next_query.get((path[-1], bits[i - 1]))
+            if q is None:
+                raise GameError(f"script has no query after answer {bits[i - 1]} to {path[-1]!r}")
+            path.append(q)
         return path
 
 
@@ -495,6 +548,12 @@ def build_pnexp_protocol(
     alpha = script.num_queries
     if not (1 <= alpha <= QUERY_CAP):
         raise GameError(f"query count {alpha} exceeds cap {QUERY_CAP}")
+    for bits in itertools.product((0, 1), repeat=alpha):
+        if bits not in script.output:
+            raise GameError(f"script has no output for answers {''.join(map(str, bits))}")
+        for q in script.query_path(bits):
+            if q not in mips:
+                raise GameError(f"no blackbox for query {q!r}")
     scale = Fraction(1, 3)
 
     def p(x: Fraction | int) -> Fraction:
@@ -608,6 +667,23 @@ class MripSpec:
     rounds: int
     alphabet: tuple[str, ...]
     payments: Mapping[Transcript, Fraction]
+
+    @classmethod
+    def from_doc(cls, doc: Mapping[str, Any]) -> "MripSpec":
+        """Parse a spec document or an mrip game's metadata: `provers`,
+        `rounds`, `alphabet` and `payments` ("a+b;c+d" transcript -> rational)."""
+        provers, rounds = _get(doc, "provers", int), _get(doc, "rounds", int)
+        alphabet = _get(doc, "alphabet", list)
+        if not all(isinstance(sym, str) for sym in alphabet):
+            raise GameError("key 'alphabet' must be a list of strings")
+        payments = {}
+        for key, r in _get(doc, "payments", dict).items():
+            try:
+                payment = rational(r)
+            except (TypeError, ValueError) as exc:
+                raise GameError(f"key {'payments.' + key!r}: {exc}") from None
+            payments[tuple(tuple(per.split("+")) for per in key.split(";"))] = payment
+        return cls(provers, rounds, tuple(alphabet), payments)
 
     def validate(self) -> None:
         if not (1 <= self.provers <= 2) or not (1 <= self.rounds <= 2):
@@ -778,34 +854,11 @@ def honest_strategy(game_or_build: ProtocolGame | GameTree) -> StrategyProfile:
             int(meta["vertices"]), [tuple(e) for e in meta["edges"]]
         )
     elif kind == "nexp":
-        build = build_nexp_protocol(mip_from_params(meta["mip"]))
+        build = build_nexp_protocol(mip_from_params(_get(meta, "mip", dict), "mip."))
     elif kind == "pnexp":
-        next_query = {}
-        for key, q2 in meta["next"].items():
-            q, b = key.rsplit(",", 1)
-            next_query[(q, int(b))] = q2
-        script = OracleScript(
-            meta["first"],
-            next_query,
-            {tuple(int(b) for b in bits): int(out) for bits, out in meta["output"].items()},
-            int(meta["num_queries"]),
-        )
-        build = build_pnexp_protocol(
-            script, {q: mip_from_params(p) for q, p in meta["mips"].items()}
-        )
+        build = build_pnexp_protocol(OracleScript.from_doc(meta), mips_from_doc(meta))
     elif kind == "mrip":
-        payments = {}
-        for key, r in meta["payments"].items():
-            transcript = tuple(tuple(per.split("+")) for per in key.split(";"))
-            payments[transcript] = Fraction(r)
-        build = build_mrip_simulation(
-            MripSpec(
-                int(meta["provers"]),
-                int(meta["rounds"]),
-                tuple(meta["alphabet"]),
-                payments,
-            )
-        )
+        build = build_mrip_simulation(MripSpec.from_doc(meta))
     else:
         raise GameError("game does not carry builder metadata")
     return build.honest

@@ -6,7 +6,9 @@ wholly inside them, so the players acting there share no information asymmetry
 with the outside. The whole game always counts as a subform. Dominance between
 equilibria is decided by induction on subform height: on height-1 subforms a
 dominant profile must weakly dominate every SSE, on taller ones every SSE that
-is itself dominant on all strictly lower subforms.
+is itself dominant on all strictly lower subforms. The induction compiles one
+integer core (`trees._IntCore`) and evaluates each SSE on it once; Nature
+weights cancel from every comparison, as they do in `is_sse`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .trees import (
     InformationSet,
     StrategyProfile,
     TerminalNode,
-    continuation_values,
+    _IntCore,
     profile_space_size,
-    reach_map,
     require_total_profile,
 )
 
@@ -131,44 +132,32 @@ def conditional_game(
     return GameTree(game.provers, nodes, tuple(new_sets), meta)
 
 
-class _ProfileData:
-    """Continuation values and reach probabilities, computed once per profile."""
-
-    def __init__(self, game: GameTree, s: StrategyProfile):
-        self.values = continuation_values(game, s)
-        self.reach = reach_map(game, s)
-
-
 def _dominates(
-    game: GameTree,
-    d1: _ProfileData,
-    d2: _ProfileData,
+    core: _IntCore,
+    d1: tuple[list[int], bytearray],
+    d2: tuple[list[int], bytearray],
     sf: Subform,
     actors: tuple[int, ...],
 ) -> bool:
+    """Dominance on the subform, read off two `core.evaluate` results."""
     if not actors:
         return True
+    (v1, r1), (v2, r2), field = d1, d2, core.field
     if sf.root_set is None:
-        return all(d1.values[()][j - 1] >= d2.values[()][j - 1] for j in actors)
-    iset = sf.root_set
-    total1 = sum((d1.reach[h] for h in iset.members), Fraction(0))
-    total2 = sum((d2.reach[h] for h in iset.members), Fraction(0))
-    if total1 > 0 and total2 > 0:
-        for j in actors:
-            v1 = sum(
-                (d1.reach[h] / total1 * d1.values[h][j - 1] for h in iset.members),
-                Fraction(0),
-            )
-            v2 = sum(
-                (d2.reach[h] / total2 * d2.values[h][j - 1] for h in iset.members),
-                Fraction(0),
-            )
-            if v1 < v2:
-                return False
-        return True
-    return all(
-        d1.values[h][j - 1] >= d2.values[h][j - 1] for h in iset.members for j in actors
-    )
+        return all(field(v1[0], j) >= field(v2[0], j) for j in actors)
+    members = [core.index[h] for h in sf.root_set.members]
+    live1 = [m for m in members if r1[m]]
+    live2 = [m for m in members if r2[m]]
+    if live1 and live2:
+        # Bayes values: the field sums over the reached members, each over its
+        # total weight T; the raise is the same per unit weight on both sides.
+        t1 = sum(core.weight[m] for m in live1)
+        t2 = sum(core.weight[m] for m in live2)
+        return all(
+            sum(field(v1[m], j) for m in live1) * t2 >= sum(field(v2[m], j) for m in live2) * t1
+            for j in actors
+        )
+    return all(field(v1[m], j) >= field(v2[m], j) for m in members for j in actors)
 
 
 def dominates_on_subform(
@@ -180,11 +169,10 @@ def dominates_on_subform(
     at the root set; if either profile leaves the root set unreached, the
     comparison is made pointwise at every member history instead.
     """
-    require_total_profile(game, s)
-    require_total_profile(game, s2)
-    return _dominates(
-        game, _ProfileData(game, s), _ProfileData(game, s2), sf, actors_in(game, sf)
-    )
+    core = _IntCore(game)
+    d1 = core.evaluate(core.choices(s))
+    d2 = core.evaluate(core.choices(s2))
+    return _dominates(core, d1, d2, sf, actors_in(game, sf))
 
 
 @dataclass(frozen=True)
@@ -209,7 +197,8 @@ def _layered_dominant(
 ) -> tuple[list[StrategyProfile], list[SubformComparison]]:
     subs = find_subforms(game)
     actors = {sf.key: actors_in(game, sf) for sf in subs}
-    data = [_ProfileData(game, s) for s in sse_set]
+    core = _IntCore(game)
+    data = [core.evaluate(core.choices(s)) for s in sse_set]
     heights = sorted({sf.height for sf in subs})
     current = list(range(len(sse_set)))
     trace: list[SubformComparison] = []
@@ -224,7 +213,7 @@ def _layered_dominant(
                 failed = tuple(
                     j
                     for j in comp
-                    if not _dominates(game, data[i], data[j], sf, actors[sf.key])
+                    if not _dominates(core, data[i], data[j], sf, actors[sf.key])
                 )
                 if watch is not None and sse_set[i] == watch:
                     trace.append(

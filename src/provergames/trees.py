@@ -429,51 +429,6 @@ def continuation_values(
     return out
 
 
-def reached_subtree(
-    game: GameTree, s: StrategyProfile
-) -> tuple[dict[History, Fraction], dict[History, tuple[Fraction, ...]]]:
-    """Reach and continuation values of only the histories reached under `s`.
-
-    A history that `s` and Nature reach with probability zero gets no entry,
-    so under a pure profile the work is proportional to the reached nodes:
-    one child per prover node. The pass is iterative and takes any depth.
-    """
-    nodes, set_of = game.nodes, game.set_by_history
-    reach: dict[History, Fraction] = {(): Fraction(1)}
-    order: list[History] = []  # parents before children
-    stack: list[History] = [()]
-    while stack:
-        h = stack.pop()
-        order.append(h)
-        node = nodes[h]
-        if isinstance(node, TerminalNode):
-            continue
-        if node.player == NATURE:
-            for a, p in zip(node.actions, node.dist):
-                if p:
-                    reach[h + (a,)] = reach[h] * p
-                    stack.append(h + (a,))
-        else:
-            child = h + (s.action(set_of[h].key),)
-            reach[child] = reach[h]
-            stack.append(child)
-    values: dict[History, tuple[Fraction, ...]] = {}
-    for h in reversed(order):
-        node = nodes[h]
-        if isinstance(node, TerminalNode):
-            values[h] = node.payments
-        elif node.player == NATURE:
-            acc = [Fraction(0)] * game.provers
-            for a, p in zip(node.actions, node.dist):
-                if p:
-                    for j, v in enumerate(values[h + (a,)]):
-                        acc[j] += p * v
-            values[h] = tuple(acc)
-        else:
-            values[h] = values[h + (s.action(set_of[h].key),)]
-    return reach, values
-
-
 class _IntCore:
     """A game compiled to int-indexed arrays for exact integer evaluation.
 
@@ -489,18 +444,21 @@ class _IntCore:
     between sums over the reached members of a set, where W' is the reach
     probability.
 
-    A value is packed into one int, prover j in bits [(j-1)*bits, j*bits).
-    Each field is raised by K*Dw*W'(h), K >= |Du*u| for every payment u, so
-    no field is negative or overflows and sums never carry between fields.
-    Prover moves keep the raise, so it cancels from the same comparisons.
-    Compile once per analysis, not per tree: the object holds arrays the size
-    of the tree.
+    A value is packed into one int, one field per prover, and `field` is the
+    only reader of that layout. Each field is raised by K*Dw*W'(h), K >=
+    |Du*u| for every payment u, so no field is negative or overflows and sums
+    never carry between fields. Prover moves keep the raise, so it cancels
+    from the same comparisons and from the difference of two profiles' fields
+    at one node m. If m is reached under a profile, W'(m) is its reach
+    probability, so that difference over `scale` = D is reach(m) times the
+    difference of the continuation values. Compile once per analysis, not per
+    tree: the object holds arrays the size of the tree.
     """
 
     def __init__(self, game: GameTree):
         self.game = game
         order, nodes = game.topo_order, game.nodes
-        index = {h: i for i, h in enumerate(order)}
+        self.index = index = {h: i for i, h in enumerate(order)}
         w = [Fraction(1)] * len(order)  # W'
         self.kids: list[tuple[int, ...]] = [()] * len(order)  # live ones under Nature
         self.set_of = [-1] * len(order)  # sorted_sets index of a prover node
@@ -536,17 +494,18 @@ class _IntCore:
         Du = math.lcm(*{u.denominator for t in terminals for u in nodes[order[t]].payments})
         wint = [x.numerator * (Dw // x.denominator) for x in w]
         self.weight = [Du * x for x in wint]
+        self.scale = self.weight[0]  # D, as W'(root) = 1
         pay = {
             t: [u.numerator * (Du // u.denominator) for u in nodes[order[t]].payments]
             for t in terminals
         }
         K = max((abs(x) for row in pay.values() for x in row), default=0)
-        self.bits = (2 * K * Dw).bit_length()
-        self.mask = (1 << self.bits) - 1
+        self._bits = (2 * K * Dw).bit_length()
+        self._mask = (1 << self._bits) - 1
         self.leaf = [0] * len(order)
         for t, row in pay.items():
             for j, x in enumerate(row):
-                self.leaf[t] |= wint[t] * (x + K) << (j * self.bits)
+                self.leaf[t] |= wint[t] * (x + K) << (j * self._bits)
         self.bottom_up = tuple(
             (i, self.kids[i], self.set_of[i])
             for i in reversed(range(len(order)))
@@ -567,8 +526,15 @@ class _IntCore:
             require_total_profile(self.game, s)  # raises the ProfileError
             raise
 
+    def field(self, v: int, prover: int) -> int:
+        """Prover `prover`'s field of the packed value `v` of a node h: under
+        the profile, D*W'(h) times h's continuation value plus the raise."""
+        return (v >> (prover - 1) * self._bits) & self._mask
+
     def evaluate(self, choice: list[int]) -> tuple[list[int], bytearray]:
-        """Packed node values and reached flags under the profile `choice`."""
+        """Packed node values and reached flags under the profile `choice`;
+        a node is reached when the profile and positive Nature moves lead
+        to it from the root."""
         value = self.leaf[:]
         get = value.__getitem__
         for i, kids, k in self.bottom_up:

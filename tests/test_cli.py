@@ -20,6 +20,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+PNEXP_SCRIPT = {
+    "first": "qa",
+    "next": {"qa,1": "qb", "qa,0": "qc"},
+    "output": {"00": 0, "01": 1, "10": 1, "11": 0},
+    "num_queries": 2,
+    "mips": {
+        "qa": {"kind": "fixed", "accepting": 3, "total": 3},
+        "qb": {"kind": "fixed", "accepting": 1, "total": 3},
+        "qc": {"kind": "fixed", "accepting": 2, "total": 2},
+    },
+}
+
+
 class TestBuildAndAnalyze:
     def test_build_then_find_dominant(self, tmp_path, capsys, k3_edges):
         game = tmp_path / "k3.game"
@@ -125,21 +138,7 @@ class TestInstanceFiles:
 
     def test_build_pnexp_from_script(self, tmp_path, capsys):
         script = tmp_path / "machine.json"
-        script.write_text(
-            json.dumps(
-                {
-                    "first": "qa",
-                    "next": {"qa,1": "qb", "qa,0": "qc"},
-                    "output": {"00": 0, "01": 1, "10": 1, "11": 0},
-                    "num_queries": 2,
-                    "mips": {
-                        "qa": {"kind": "fixed", "accepting": 3, "total": 3},
-                        "qb": {"kind": "fixed", "accepting": 1, "total": 3},
-                        "qc": {"kind": "fixed", "accepting": 2, "total": 2},
-                    },
-                }
-            )
-        )
+        script.write_text(json.dumps(PNEXP_SCRIPT))
         game = tmp_path / "pnexp.game"
         code, _, _ = run(capsys, "build", "pnexp", script, "--out", game)
         assert code == 0
@@ -193,6 +192,30 @@ class TestInstanceFiles:
             assert count == sum(
                 1 for s in all_profiles(g) if is_sse_bruteforce(g, s).verdict
             )
+
+
+class TestSpecDocuments:
+    @pytest.mark.parametrize(
+        "protocol, doc, key",
+        [
+            ("pnexp", {}, "first"),
+            ("mrip", {}, "provers"),
+            ("pnexp", {**PNEXP_SCRIPT, "mips": {"qa": {"kind": "fixed"}}}, "mips.qa.accepting"),
+            ("pnexp", {**PNEXP_SCRIPT, "num_queries": "2"}, "num_queries"),
+            ("pnexp", {**PNEXP_SCRIPT, "output": {"00": 0}}, "answers 01"),
+            (
+                "mrip",
+                {"provers": 1, "rounds": 1, "alphabet": ["0"], "payments": {"0": 0.5}},
+                "payments.0",
+            ),
+        ],
+    )
+    def test_bad_spec_exits_two_naming_the_key(self, tmp_path, capsys, protocol, doc, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "build", protocol, spec)
+        assert code == 2
+        assert err.startswith("error:") and key in err and "Traceback" not in err
 
 
 class TestErrors:

@@ -8,9 +8,11 @@ import pytest
 from provergames.equilibrium import enumerate_sse
 from provergames.errors import CapExceededError, GameError
 from provergames.gaps import answer_bit_distribution
+from provergames.pruning import prune_nature
 from provergames.subforms import (
     WHOLE_GAME_KEY,
     Subform,
+    actors_in,
     conditional_game,
     dominant_sse_set,
     dominates_on_subform,
@@ -26,13 +28,66 @@ from provergames.trees import (
     NATURE,
     StrategyProfile,
     TerminalNode,
+    all_profiles,
+    continuation_values,
     expected_utility,
     make_game,
+    profile_space_size,
+    reach_map,
     utility_vector,
     validate_game,
 )
 
-from randgames import random_game, random_profile
+from randgames import random_game, random_profile, random_root_lottery_game
+
+
+class _ProfileData:
+    """Continuation values and reach probabilities of one profile, as Fractions."""
+
+    def __init__(self, game: GameTree, s: StrategyProfile):
+        self.values = continuation_values(game, s)
+        self.reach = reach_map(game, s)
+
+
+def dominates_fraction(
+    game: GameTree, d1: _ProfileData, d2: _ProfileData, sf: Subform
+) -> bool:
+    """Reference for `dominates_on_subform`: Bayes values at the root set as
+    exact Fractions, or member by member when either side leaves it unreached."""
+    actors = actors_in(game, sf)
+    if not actors:
+        return True
+    if sf.root_set is None:
+        return all(d1.values[()][j - 1] >= d2.values[()][j - 1] for j in actors)
+    iset = sf.root_set
+    total1 = sum((d1.reach[h] for h in iset.members), F(0))
+    total2 = sum((d2.reach[h] for h in iset.members), F(0))
+    if total1 > 0 and total2 > 0:
+        for j in actors:
+            v1 = sum((d1.reach[h] / total1 * d1.values[h][j - 1] for h in iset.members), F(0))
+            v2 = sum((d2.reach[h] / total2 * d2.values[h][j - 1] for h in iset.members), F(0))
+            if v1 < v2:
+                return False
+        return True
+    return all(
+        d1.values[h][j - 1] >= d2.values[h][j - 1] for h in iset.members for j in actors
+    )
+
+
+def dominant_fraction(game: GameTree, sse_set: list[StrategyProfile]) -> list[StrategyProfile]:
+    """Reference for `dominant_sse_set`: the height induction on `dominates_fraction`."""
+    subs = find_subforms(game)
+    data = [_ProfileData(game, s) for s in sse_set]
+    current = list(range(len(sse_set)))
+    for k in sorted({sf.height for sf in subs}):
+        comp = list(range(len(sse_set))) if k == 1 else list(current)
+        layer = [sf for sf in subs if sf.height == k]
+        current = [
+            i
+            for i in current
+            if all(dominates_fraction(game, data[i], data[j], sf) for sf in layer for j in comp)
+        ]
+    return [sse_set[i] for i in current]
 
 
 def no_dominant_game():
@@ -231,6 +286,74 @@ class TestDominance:
         lower = honest.replace(p2_set.key, "0")  # break the proof, lowering accept
         assert dominates_on_subform(game, honest, lower, sf)
         assert not dominates_on_subform(game, lower, honest, sf)
+
+
+    def test_bayes_comparison_weighs_each_side_by_the_other_total(self):
+        # `hi` reaches both members of P2's set (total 1), `lo` only ("a", "in")
+        # (total 1/4). P2's Bayes value is 0 under `hi` and 1/2 under `lo`, so
+        # `lo` dominates `hi` and not the reverse; swapping the two totals in
+        # the cross-multiplication reverses both answers.
+        nodes = {
+            (): DecisionNode(NATURE, ("a", "b"), (F(1, 4), F(3, 4))),
+            ("a",): DecisionNode(1, ("in", "out")),
+            ("b",): DecisionNode(1, ("in", "out")),
+            ("a", "out"): TerminalNode((F(0), F(0)), 0),
+            ("b", "out"): TerminalNode((F(0), F(0)), 0),
+            ("a", "in", "l"): TerminalNode((F(0), F(0)), 0),
+            ("a", "in", "r"): TerminalNode((F(0), F(1, 2)), 1),
+            ("b", "in", "l"): TerminalNode((F(0), F(0)), 0),
+            ("b", "in", "r"): TerminalNode((F(0), F(0)), 1),
+        }
+        p2 = InformationSet(2, (("a", "in"), ("b", "in")), ("l", "r"))
+        for h in p2.members:
+            nodes[h] = DecisionNode(2, p2.actions)
+        sets = (
+            InformationSet(1, (("a",),), ("in", "out")),
+            InformationSet(1, (("b",),), ("in", "out")),
+            p2,
+        )
+        game = GameTree(2, nodes, sets)
+        assert validate_game(game).ok
+        sf = next(sf for sf in find_subforms(game) if sf.root_set == p2)
+        a, b = sets[0].key, sets[1].key
+        hi = StrategyProfile.from_dict({a: "in", b: "in", p2.key: "l"})
+        lo = StrategyProfile.from_dict({a: "in", b: "out", p2.key: "r"})
+        assert dominates_on_subform(game, lo, hi, sf)
+        assert not dominates_on_subform(game, hi, lo, sf)
+        d_hi, d_lo = _ProfileData(game, hi), _ProfileData(game, lo)
+        assert dominates_fraction(game, d_lo, d_hi, sf)
+        assert not dominates_fraction(game, d_hi, d_lo, sf)
+
+
+class TestDominanceOracle:
+    def test_campaign_matches_fraction_oracle(self):
+        # Every subform and every ordered profile pair of small random games,
+        # root-lottery games and their `prune_nature` outputs, whose zero
+        # Nature edges leave members unreached under some profiles.
+        rng = random.Random(4242)
+        games = []
+        while len(games) < 24:
+            game = random_game(rng, max_nodes=40, max_prover_sets=4)
+            if profile_space_size(game) <= 24:
+                games.append(game)
+        games += [random_root_lottery_game(rng, outcomes=(2, 4), profile_cap=24) for _ in range(8)]
+        games += [prune_nature(g, random_profile(rng, g), 1, 1)[0] for g in games]
+        pairs = with_dominant = 0
+        for game in games:
+            profiles = list(all_profiles(game))
+            data = [_ProfileData(game, s) for s in profiles]
+            for sf in find_subforms(game):
+                for s, d in zip(profiles, data):
+                    for s2, d2 in zip(profiles, data):
+                        assert dominates_on_subform(game, s, s2, sf) == dominates_fraction(
+                            game, d, d2, sf
+                        )
+                        pairs += 1
+            for candidates in (enumerate_sse(game), profiles):
+                survivors = dominant_sse_set(game, candidates)
+                assert survivors == dominant_fraction(game, candidates)
+                with_dominant += bool(survivors)
+        assert pairs > 10000 and with_dominant > 20
 
 
 class TestDominantSse:

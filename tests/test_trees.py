@@ -14,6 +14,7 @@ from provergames.trees import (
     InformationSet,
     StrategyProfile,
     TerminalNode,
+    _IntCore,
     check_perfect_recall,
     conditional_utility,
     continuation_values,
@@ -22,7 +23,6 @@ from provergames.trees import (
     rational,
     reach_map,
     reach_probability,
-    reached_subtree,
     utility_vector,
     validate_game,
 )
@@ -175,18 +175,32 @@ class TestReachProbability:
             reach = reach_map(game, s)
             assert sum(reach[t] for t in game.terminals) == 1
 
-    def test_reached_subtree_matches_full_passes(self):
+    def test_core_field_differences_are_reach_weighted_value_differences(self):
+        # The identity the gap scan rests on: at a history m reached under s,
+        # (field(v*[m], j) - field(v[m], j)) / scale = reach_s(m) * (V*(m) - V(m)).
         rng = random.Random(13)
         zero_branches = 0
         for _ in range(25):
             game = random_game(rng)
-            s = random_profile(rng, game)
+            s, s_star = random_profile(rng, game), random_profile(rng, game)
             # Nature pruning leaves zero-probability branches to skip.
             for g in (game, prune_nature(game, s, 1, 1)[0]):
-                reach, values = reached_subtree(g, s)
-                full_reach, full_values = reach_map(g, s), continuation_values(g, s)
-                assert reach == {h: r for h, r in full_reach.items() if r > 0}
-                assert values == {h: full_values[h] for h in reach}
+                core = _IntCore(g)
+                value, reached = core.evaluate(core.choices(s))
+                star, _ = core.evaluate(core.choices(s_star))
+                reach = reach_map(g, s)
+                values, star_values = continuation_values(g, s), continuation_values(g, s_star)
+                assert {h for h, i in core.index.items() if reached[i]} == {
+                    h for h, r in reach.items() if r > 0
+                }
+                for h, i in core.index.items():
+                    if not reached[i]:
+                        continue
+                    for j in range(1, g.provers + 1):
+                        diff = core.field(star[i], j) - core.field(value[i], j)
+                        assert F(diff, core.scale) == reach[h] * (
+                            star_values[h][j - 1] - values[h][j - 1]
+                        )
                 zero_branches += any(
                     p == 0 for n in g.nodes.values() for p in getattr(n, "dist", None) or ()
                 )
