@@ -31,8 +31,8 @@ from .subforms import find_dominant_sse
 from .trees import (
     GameTree,
     check_perfect_recall,
-    expected_utility,
     rational,
+    utility_vector,
     validate_game,
 )
 
@@ -177,7 +177,7 @@ def _cmd_find_dominant(args) -> int:
         _emit(args, gamefile.report_doc("dominant", {"found": False}), ["no dominant SSE"])
         return 1
     answers = answer_bit_distribution(game, dom)
-    utilities = [str(expected_utility(game, dom, j)) for j in range(1, game.provers + 1)]
+    utilities = [str(u) for u in utility_vector(game, dom)]
     doc = gamefile.report_doc(
         "dominant",
         {
@@ -267,7 +267,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--max-profiles", type=int, default=DEFAULT_PROFILE_CAP)
         p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_CAP)
-        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
         if game:
             p.add_argument("game")
 

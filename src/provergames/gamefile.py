@@ -38,11 +38,25 @@ def _rat(text: Any, where: str) -> Fraction:
         raise GameFileError(f"{where}: bad rational {text!r} ({exc})")
 
 
-def _field(record: dict, name: str, where: str) -> Any:
-    try:
-        return record[name]
-    except KeyError:
-        raise GameFileError(f"{where}: missing field {name!r}") from None
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value: Any, kind: type, where: str) -> Any:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise GameFileError(f"{where}: must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _field(record: dict, name: str, where: str, kind: type) -> Any:
+    """`record[name]`, which must be a `kind`; errors name `where.name`."""
+    if name not in record:
+        raise GameFileError(f"{where or 'game'}: missing field {name!r}")
+    return _typed(record[name], kind, f"{where}.{name}" if where else name)
+
+
+def _labels(record: dict, name: str, where: str) -> tuple[str, ...]:
+    items = _field(record, name, where, list)
+    return tuple(_typed(x, str, f"{where}.{name}[{i}]") for i, x in enumerate(items))
 
 
 def game_to_doc(game: GameTree, beliefs: BeliefSystem | None = None) -> dict:
@@ -99,51 +113,45 @@ def game_from_doc(doc: Any) -> tuple[GameTree, BeliefSystem | None]:
         raise GameFileError("top level must be an object")
     if doc.get("format") != GAME_FORMAT:
         raise GameFileError(f"unsupported format {doc.get('format')!r}")
-    try:
-        provers = int(doc["provers"])
-        raw_nodes = doc["nodes"]
-        raw_sets = doc["info_sets"]
-    except KeyError as exc:
-        raise GameFileError(f"missing field {exc}")
-    if not isinstance(raw_nodes, dict):
-        raise GameFileError("nodes: must be an object mapping paths to node records")
+    provers = _field(doc, "provers", "", int)
+    raw_nodes = _field(doc, "nodes", "", dict)
+    raw_sets = _field(doc, "info_sets", "", list)
     nodes: dict[History, Node] = {}
     for path, record in raw_nodes.items():
-        h = history_from_path(path)
         where = f"nodes[{path!r}]"
-        if not isinstance(record, dict):
-            raise GameFileError(f"{where}: must be an object")
+        record = _typed(record, dict, where)
         if "payments" in record:
-            payments = tuple(_rat(r, where) for r in record["payments"])
-            nodes[h] = TerminalNode(payments, int(record.get("answer_bit", 0)))
+            payments = tuple(_rat(r, where) for r in _field(record, "payments", where, list))
+            answer_bit = _typed(record.get("answer_bit", 0), int, f"{where}.answer_bit")
+            nodes[history_from_path(path)] = TerminalNode(payments, answer_bit)
         else:
-            player = int(_field(record, "player", where))
-            actions = tuple(_field(record, "actions", where))
             dist = None
             if record.get("dist") is not None:
-                dist = tuple(_rat(p, where) for p in record["dist"])
-            nodes[h] = DecisionNode(player, actions, dist)
+                dist = tuple(_rat(p, where) for p in _field(record, "dist", where, list))
+            nodes[history_from_path(path)] = DecisionNode(
+                _field(record, "player", where, int), _labels(record, "actions", where), dist
+            )
     sets = []
     for n, record in enumerate(raw_sets):
         where = f"info_sets[{n}]"
-        if not isinstance(record, dict):
-            raise GameFileError(f"{where}: must be an object")
+        record = _typed(record, dict, where)
+        members = _labels(record, "members", where)
         sets.append(
             InformationSet(
-                int(_field(record, "owner", where)),
-                tuple(sorted(history_from_path(m) for m in _field(record, "members", where))),
-                tuple(_field(record, "actions", where)),
+                _field(record, "owner", where, int),
+                tuple(sorted(history_from_path(m) for m in members)),
+                _labels(record, "actions", where),
             )
         )
-    game = GameTree(provers, nodes, tuple(sets), dict(doc.get("meta") or {}))
+    meta = _field(doc, "meta", "", dict) if doc.get("meta") is not None else {}
+    game = GameTree(provers, nodes, tuple(sets), dict(meta))
     beliefs = None
     if "beliefs" in doc:
-        beliefs = BeliefSystem.from_dict(
-            {
-                key: tuple(_rat(p, f"beliefs[{key!r}]") for p in probs)
-                for key, probs in doc["beliefs"].items()
-            }
-        )
+        dists = {}
+        for key, probs in _field(doc, "beliefs", "", dict).items():
+            where = f"beliefs[{key!r}]"
+            dists[key] = tuple(_rat(p, where) for p in _typed(probs, list, where))
+        beliefs = BeliefSystem.from_dict(dists)
     return game, beliefs
 
 

@@ -850,9 +850,12 @@ def honest_strategy(game_or_build: ProtocolGame | GameTree) -> StrategyProfile:
     meta = dict(game_or_build.meta)
     kind = meta.get("protocol")
     if kind == "three_coloring":
-        build = build_three_coloring(
-            int(meta["vertices"]), [tuple(e) for e in meta["edges"]]
-        )
+        vertices, edges = _get(meta, "vertices", int), _get(meta, "edges", list)
+        if not all(
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+        ):
+            raise GameError("key 'edges' must be a list of integer pairs")
+        build = build_three_coloring(vertices, [tuple(e) for e in edges])
     elif kind == "nexp":
         build = build_nexp_protocol(mip_from_params(_get(meta, "mip", dict), "mip."))
     elif kind == "pnexp":

@@ -255,8 +255,8 @@ def is_dominant_sse(
 # With singleton information sets the Bayes condition at a reached set equals
 # the per-history condition, so SSE membership and dominance both decompose by
 # subtree. Each node carries equivalence classes of SSE continuations keyed by
-# (utility vector, answer distribution); the height induction freezes, per
-# decision node, the per-actor maxima of the comparison class and filters.
+# (utility vector, answer distribution); the height induction keeps, at each
+# prover node, the classes reaching every actor's maximum below it.
 # ---------------------------------------------------------------------------
 
 
@@ -279,145 +279,98 @@ def is_perfect_information(game: GameTree) -> bool:
     return all(len(iset.members) == 1 for iset in game.info_sets)
 
 
-class _PerfectInfoSearch:
-    def __init__(self, game: GameTree, class_cap: int):
-        self.game = game
-        self.class_cap = class_cap
-        self.actors_below: dict[History, frozenset[int]] = {}
-        self.node_height: dict[History, int] = {}
-        for h in sorted(game.nodes, key=len, reverse=True):
-            node = game.nodes[h]
-            if isinstance(node, TerminalNode):
-                self.actors_below[h] = frozenset()
-                self.node_height[h] = 0
-            else:
-                kids = [h + (a,) for a in node.actions]
-                owners = frozenset().union(*(self.actors_below[k] for k in kids))
-                if node.player != NATURE:
-                    owners |= {node.player}
-                self.actors_below[h] = owners
-                self.node_height[h] = 1 + max(self.node_height[k] for k in kids)
-        # per-node frozen dominance filters: prover -> minimum admissible value
-        self.filters: dict[History, dict[int, Fraction]] = {}
-
-    def _classes(self, memo: dict, h: History) -> list[_Class]:
-        node = self.game.nodes[h]
-        if isinstance(node, TerminalNode):
-            return [_Class(node.payments, ((node.answer_bit, Fraction(1)),), ())]
-        kids = [memo[h + (a,)] for a in node.actions]
-        if any(not lst for lst in kids):
-            return []
-        if node.player == NATURE:
-            combos: list[_Class] = [_Class(tuple([Fraction(0)] * self.game.provers), (), ())]
-            for lst, p in zip(kids, node.dist):
-                nxt: list[_Class] = []
-                seen = set()
-                for left in combos:
-                    for cls in lst:
-                        value = tuple(
-                            lv + p * cv for lv, cv in zip(left.value, cls.value)
-                        )
-                        answers = _merge_answers([(left.answers, Fraction(1)), (cls.answers, p)])
-                        sig = (value, answers)
-                        if sig in seen:
-                            continue
-                        seen.add(sig)
-                        rep = tuple(sorted((dict(left.rep) | dict(cls.rep)).items()))
-                        nxt.append(_Class(value, answers, rep))
-                        if len(nxt) > self.class_cap:
-                            raise CapExceededError(
-                                f"continuation classes exceed cap {self.class_cap}",
-                                len(nxt),
-                            )
-                combos = nxt
-            out = combos
-        else:
-            owner = node.player
-            set_key = self.game.set_by_history[h].key
-            mins = []
-            for lst in kids:
-                best = min(cls.value[owner - 1] for cls in lst)
-                pick = next(cls for cls in lst if cls.value[owner - 1] == best)
-                mins.append((best, pick))
-            out = []
-            seen = set()
-            for idx, a in enumerate(node.actions):
-                for cls in kids[idx]:
-                    mine = cls.value[owner - 1]
-                    if any(
-                        mins[b][0] > mine for b in range(len(kids)) if b != idx
-                    ):
-                        continue
-                    sig = (cls.value, cls.answers)
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    rep = {set_key: a} | dict(cls.rep)
-                    for b in range(len(kids)):
-                        if b != idx:
-                            rep |= dict(mins[b][1].rep)
-                    out.append(_Class(cls.value, cls.answers, tuple(sorted(rep.items()))))
-        filt = self.filters.get(h)
-        if filt:
-            out = [
-                cls
-                for cls in out
-                if all(cls.value[j - 1] >= bound for j, bound in filt.items())
-            ]
-        return out
-
-    def _build(self) -> dict[History, list[_Class]]:
-        memo: dict[History, list[_Class]] = {}
-        for h in sorted(self.game.nodes, key=len, reverse=True):
-            memo[h] = self._classes(memo, h)
-        return memo
-
-    def dominant(self) -> StrategyProfile | None:
-        base = self._build()
-        current = base
-        decision_layers = sorted(
-            {
-                self.node_height[h]
-                for h, n in self.game.nodes.items()
-                if isinstance(n, DecisionNode) and n.player != NATURE
-            }
-        )
-        for k in decision_layers:
-            layer_nodes = [
-                h
-                for h, n in sorted(self.game.nodes.items())
-                if isinstance(n, DecisionNode)
-                and n.player != NATURE
-                and self.node_height[h] == k
-            ]
-            for h in layer_nodes:
-                comp = base[h] if k == 1 else current[h]
-                if not comp:
+def _nature_classes(
+    game: GameTree, node: DecisionNode, kids: list[list[_Class]], class_cap: int
+) -> list[_Class]:
+    """The distinct Nature mixtures of one class per child, at most `class_cap`."""
+    combos = [_Class(tuple([Fraction(0)] * game.provers), (), ())]
+    for lst, p in zip(kids, node.dist):
+        nxt: list[_Class] = []
+        seen = set()
+        for left in combos:
+            for cls in lst:
+                value = tuple(lv + p * cv for lv, cv in zip(left.value, cls.value))
+                answers = _merge_answers([(left.answers, Fraction(1)), (cls.answers, p)])
+                if (value, answers) in seen:
                     continue
-                actors = self.actors_below[h]
-                self.filters[h] = {
-                    j: max(cls.value[j - 1] for cls in comp) for j in actors
-                }
-            current = self._build()
-        final = current[()]
-        root = self.game.nodes[()]
-        whole_is_node_subform = (
-            isinstance(root, DecisionNode) and root.player != NATURE
-        )
-        if final and not whole_is_node_subform:
-            actors = self.actors_below[()]
-            if actors:
-                bounds = {j: max(cls.value[j - 1] for cls in final) for j in actors}
-                final = [
-                    cls
-                    for cls in final
-                    if all(cls.value[j - 1] >= b for j, b in bounds.items())
-                ]
-        if not final:
-            return None
-        profile = StrategyProfile(final[0].rep)
-        require_total_profile(self.game, profile)
-        return profile
+                seen.add((value, answers))
+                rep = tuple(sorted((dict(left.rep) | dict(cls.rep)).items()))
+                nxt.append(_Class(value, answers, rep))
+                if len(nxt) > class_cap:
+                    raise CapExceededError(
+                        f"continuation classes exceed cap {class_cap}", len(nxt)
+                    )
+        combos = nxt
+    return combos
+
+
+def _prover_classes(
+    game: GameTree, h: History, node: DecisionNode, kids: list[list[_Class]]
+) -> list[_Class]:
+    """SSE continuations at a prover node: a class below one action survives
+    when every other action's worst continuation for the owner (the threat
+    played there) pays the owner no more than the class does."""
+    own = node.player - 1
+    threats = []
+    for lst in kids:
+        worst = min(cls.value[own] for cls in lst)
+        threats.append((worst, next(cls for cls in lst if cls.value[own] == worst)))
+    set_key = game.set_by_history[h].key
+    out: list[_Class] = []
+    seen = set()
+    for idx, a in enumerate(node.actions):
+        others = [t for b, t in enumerate(threats) if b != idx]
+        for cls in kids[idx]:
+            if any(worst > cls.value[own] for worst, _ in others):
+                continue
+            if (cls.value, cls.answers) in seen:
+                continue
+            seen.add((cls.value, cls.answers))
+            rep = {set_key: a} | dict(cls.rep)
+            for _, threat in others:
+                rep |= dict(threat.rep)
+            out.append(_Class(cls.value, cls.answers, tuple(sorted(rep.items()))))
+    return out
+
+
+def _perfect_info_dominant(game: GameTree, class_cap: int) -> StrategyProfile | None:
+    """The height induction on continuation classes, in one bottom-up pass.
+
+    Every node below h sits at a lower height, and no node at h's height or
+    above lies below h, so the classes built from h's already-filtered
+    children are exactly h's comparison class in its layer. Each prover node,
+    and a root that is not one, keeps the classes reaching every actor's
+    maximum below it.
+    """
+    classes: dict[History, list[_Class]] = {}
+    actors: dict[History, frozenset[int]] = {}
+    for h in reversed(game.topo_order):
+        node = game.nodes[h]
+        if isinstance(node, TerminalNode):
+            classes[h] = [_Class(node.payments, ((node.answer_bit, Fraction(1)),), ())]
+            actors[h] = frozenset()
+            continue
+        kid_hs = [h + (a,) for a in node.actions]
+        kids = [classes.pop(k) for k in kid_hs]
+        owners = frozenset().union(*(actors.pop(k) for k in kid_hs))
+        if node.player != NATURE:
+            owners |= {node.player}
+        if not all(kids):
+            out = []
+        elif node.player == NATURE:
+            out = _nature_classes(game, node, kids, class_cap)
+        else:
+            out = _prover_classes(game, h, node, kids)
+        if out and (node.player != NATURE or h == ()):
+            best = {j: max(cls.value[j - 1] for cls in out) for j in owners}
+            out = [cls for cls in out if all(cls.value[j - 1] >= b for j, b in best.items())]
+        classes[h], actors[h] = out, owners
+    final = classes[()]
+    if not final:
+        return None
+    profile = StrategyProfile(final[0].rep)
+    require_total_profile(game, profile)
+    return profile
 
 
 def find_dominant_sse(
@@ -436,7 +389,7 @@ def find_dominant_sse(
         survivors = dominant_sse_set(game, sses)
         return survivors[0] if survivors else None
     if is_perfect_information(game):
-        return _PerfectInfoSearch(game, class_cap).dominant()
+        return _perfect_info_dominant(game, class_cap)
     raise CapExceededError(
         f"{profile_space_size(game)} profiles exceed cap {profile_cap} and the game "
         "has non-singleton information sets",

@@ -18,6 +18,7 @@ from provergames.trees import (
     InformationSet,
     StrategyProfile,
     TerminalNode,
+    make_game,
 )
 
 ACTION_NAMES = ("a", "b", "c")
@@ -151,3 +152,39 @@ def random_root_lottery_game(
             size *= len(iset.actions)
         if size <= profile_cap:
             return game
+
+
+def random_pi_game(
+    rng: random.Random,
+    *,
+    provers: int = 2,
+    max_prover_nodes: int = 9,
+    zero_edges: bool = False,
+) -> GameTree:
+    """Perfect information, depth at most 3, Nature at about a quarter of the
+    decision nodes; with `zero_edges` a Nature edge may carry probability 0."""
+    nodes: dict[History, object] = {}
+    budget = [max_prover_nodes]
+
+    def grow(h: History, depth: int) -> None:
+        if depth >= 3 or budget[0] <= 0 or (depth > 0 and rng.random() < 0.4):
+            nodes[h] = TerminalNode(_payments(rng, provers), rng.randrange(2))
+            return
+        if rng.random() < 0.25:
+            k = rng.randint(2, 3)
+            w = [rng.randint(0 if zero_edges else 1, 3) for _ in range(k)]
+            if not any(w):
+                w[0] = 1
+            nodes[h] = DecisionNode(
+                NATURE, ACTION_NAMES[:k], tuple(Fraction(x, sum(w)) for x in w)
+            )
+        else:
+            budget[0] -= 1
+            nodes[h] = DecisionNode(
+                rng.randint(1, provers), ACTION_NAMES[: rng.randint(2, 3)]
+            )
+        for a in nodes[h].actions:
+            grow(h + (a,), depth + 1)
+
+    grow((), 0)
+    return make_game(provers, nodes)

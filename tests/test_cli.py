@@ -294,6 +294,42 @@ class TestInputBoundary:
         assert code == 2 and "missing field 'player'" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "keys, value, where",
+        [
+            (("nodes", "x", "payments"), 5, "nodes['x'].payments"),
+            (("nodes", "x", "answer_bit"), [1], "nodes['x'].answer_bit"),
+            (("nodes", "", "actions"), 7, "nodes[''].actions"),
+            (("info_sets",), 5, "info_sets"),
+            (("info_sets", 0, "members"), 5, "info_sets[0].members"),
+            (("info_sets", 0, "actions"), 7, "info_sets[0].actions"),
+            (("provers",), None, "provers"),
+            (("meta",), 5, "meta"),
+            (("beliefs",), 5, "beliefs"),
+        ],
+    )
+    def test_ill_typed_field_exits_two_with_its_location(
+        self, tmp_path, capsys, keys, value, where
+    ):
+        doc = json.loads(json.dumps(self.GAME))
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = tmp_path / "input.game"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", path)
+        assert code == 2
+        assert err.startswith(f"error: {where}:") and "Traceback" not in err
+
+
+    def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(self.write(tmp_path)), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestRationalFlags:
     @pytest.mark.parametrize("alpha", ["0", "1/0", "-2"])
     def test_check_gap_rejects_bad_alpha(self, tmp_path, capsys, alpha):

@@ -259,6 +259,22 @@ class TestBuilderInvariants:
                 build.correct_bit
             ] == 1
 
+    @pytest.mark.parametrize(
+        "meta, key",
+        [
+            ({"protocol": "three_coloring"}, "vertices"),
+            ({"protocol": "three_coloring", "vertices": 2}, "edges"),
+            ({"protocol": "three_coloring", "vertices": 2, "edges": [5]}, "edges"),
+            ({"protocol": "three_coloring", "vertices": "2", "edges": []}, "vertices"),
+        ],
+    )
+    def test_three_coloring_metadata_is_checked(self, meta, key):
+        from provergames.trees import make_game
+
+        game = make_game(1, {(): TerminalNode((F(0),), 0)}, meta=meta)
+        with pytest.raises(GameError, match=key):
+            honest_strategy(game)
+
     def test_metadata_required(self):
         from provergames.trees import make_game
 

@@ -8,10 +8,14 @@ import pytest
 from provergames.equilibrium import enumerate_sse
 from provergames.errors import CapExceededError, GameError
 from provergames.gaps import answer_bit_distribution
+from provergames.protocols import build_three_coloring
 from provergames.pruning import prune_nature
 from provergames.subforms import (
     WHOLE_GAME_KEY,
     Subform,
+    _Class,
+    _merge_answers,
+    _perfect_info_dominant,
     actors_in,
     conditional_game,
     dominant_sse_set,
@@ -24,6 +28,7 @@ from provergames.subforms import (
 from provergames.trees import (
     DecisionNode,
     GameTree,
+    History,
     InformationSet,
     NATURE,
     StrategyProfile,
@@ -38,7 +43,7 @@ from provergames.trees import (
     validate_game,
 )
 
-from randgames import random_game, random_profile, random_root_lottery_game
+from randgames import random_game, random_pi_game, random_profile, random_root_lottery_game
 
 
 class _ProfileData:
@@ -88,6 +93,139 @@ def dominant_fraction(game: GameTree, sse_set: list[StrategyProfile]) -> list[St
             if all(dominates_fraction(game, data[i], data[j], sf) for sf in layer for j in comp)
         ]
     return [sse_set[i] for i in current]
+
+
+def layered_pi_dominant(game: GameTree, class_cap: int) -> StrategyProfile | None:
+    """Reference for the perfect-information class search: the height
+    induction layer by layer. It builds the class memo unfiltered, then once
+    more per prover decision height after freezing that layer's filters."""
+    actors_below: dict[History, frozenset[int]] = {}
+    node_height: dict[History, int] = {}
+    for h in sorted(game.nodes, key=len, reverse=True):
+        node = game.nodes[h]
+        if isinstance(node, TerminalNode):
+            actors_below[h], node_height[h] = frozenset(), 0
+        else:
+            kids = [h + (a,) for a in node.actions]
+            owners = frozenset().union(*(actors_below[k] for k in kids))
+            if node.player != NATURE:
+                owners |= {node.player}
+            actors_below[h] = owners
+            node_height[h] = 1 + max(node_height[k] for k in kids)
+    filters: dict[History, dict[int, F]] = {}  # prover -> minimum admissible value
+
+    def classes(memo: dict, h: History) -> list[_Class]:
+        node = game.nodes[h]
+        if isinstance(node, TerminalNode):
+            return [_Class(node.payments, ((node.answer_bit, F(1)),), ())]
+        kids = [memo[h + (a,)] for a in node.actions]
+        if any(not lst for lst in kids):
+            return []
+        if node.player == NATURE:
+            combos = [_Class(tuple([F(0)] * game.provers), (), ())]
+            for lst, p in zip(kids, node.dist):
+                nxt: list[_Class] = []
+                seen = set()
+                for left in combos:
+                    for cls in lst:
+                        value = tuple(lv + p * cv for lv, cv in zip(left.value, cls.value))
+                        answers = _merge_answers([(left.answers, F(1)), (cls.answers, p)])
+                        if (value, answers) in seen:
+                            continue
+                        seen.add((value, answers))
+                        rep = tuple(sorted((dict(left.rep) | dict(cls.rep)).items()))
+                        nxt.append(_Class(value, answers, rep))
+                        if len(nxt) > class_cap:
+                            raise CapExceededError("continuation classes exceed cap", len(nxt))
+                combos = nxt
+            out = combos
+        else:
+            owner = node.player
+            set_key = game.set_by_history[h].key
+            mins = []
+            for lst in kids:
+                best = min(cls.value[owner - 1] for cls in lst)
+                mins.append((best, next(c for c in lst if c.value[owner - 1] == best)))
+            out = []
+            seen = set()
+            for idx, a in enumerate(node.actions):
+                for cls in kids[idx]:
+                    mine = cls.value[owner - 1]
+                    if any(mins[b][0] > mine for b in range(len(kids)) if b != idx):
+                        continue
+                    if (cls.value, cls.answers) in seen:
+                        continue
+                    seen.add((cls.value, cls.answers))
+                    rep = {set_key: a} | dict(cls.rep)
+                    for b in range(len(kids)):
+                        if b != idx:
+                            rep |= dict(mins[b][1].rep)
+                    out.append(_Class(cls.value, cls.answers, tuple(sorted(rep.items()))))
+        filt = filters.get(h)
+        if filt:
+            out = [c for c in out if all(c.value[j - 1] >= b for j, b in filt.items())]
+        return out
+
+    def build() -> dict[History, list[_Class]]:
+        memo: dict[History, list[_Class]] = {}
+        for h in sorted(game.nodes, key=len, reverse=True):
+            memo[h] = classes(memo, h)
+        return memo
+
+    def is_prover_node(n) -> bool:
+        return isinstance(n, DecisionNode) and n.player != NATURE
+
+    base = current = build()
+    for k in sorted({node_height[h] for h, n in game.nodes.items() if is_prover_node(n)}):
+        for h, n in sorted(game.nodes.items()):
+            if is_prover_node(n) and node_height[h] == k:
+                comp = base[h] if k == 1 else current[h]
+                if comp:
+                    filters[h] = {
+                        j: max(c.value[j - 1] for c in comp) for j in actors_below[h]
+                    }
+        current = build()
+    final = current[()]
+    if final and not is_prover_node(game.nodes[()]) and actors_below[()]:
+        bounds = {j: max(c.value[j - 1] for c in final) for j in actors_below[()]}
+        final = [c for c in final if all(c.value[j - 1] >= b for j, b in bounds.items())]
+    return StrategyProfile(final[0].rep) if final else None
+
+
+def _outcome(search, game: GameTree, cap: int):
+    try:
+        return search(game, cap)
+    except CapExceededError:
+        return CapExceededError
+
+
+def _against_reference(game: GameTree, cap: int) -> bool:
+    """Check the one-pass search against `layered_pi_dominant` at `cap`; True
+    when only the reference's unfiltered first build ran over the cap, and
+    then the one-pass answer is the reference's answer at cap 4096."""
+    got = _outcome(_perfect_info_dominant, game, cap)
+    expected = _outcome(layered_pi_dominant, game, cap)
+    if got is CapExceededError:
+        assert expected is CapExceededError
+        return False
+    if expected is CapExceededError:
+        assert got == layered_pi_dominant(game, 4096)
+        return True
+    assert got == expected
+    return False
+
+
+@pytest.fixture(scope="module")
+def pi_corpus(k3, k4, mini_coloring):
+    """Root-lottery games, 1-3-prover games with Nature (zero-probability
+    edges included) and three-coloring games, all perfect information."""
+    rng = random.Random(2024)
+    games = [random_root_lottery_game(rng, profile_cap=512) for _ in range(150)]
+    games += [
+        random_pi_game(rng, provers=1 + i % 3, zero_edges=True) for i in range(600)
+    ]
+    p4 = build_three_coloring(4, [(0, 1), (1, 2), (2, 3)])
+    return games + [k3.game, k4.game, p4.game, mini_coloring.game]
 
 
 def no_dominant_game():
@@ -423,12 +561,10 @@ class TestFindDominant:
         assert utility_vector(k4.game, dom) == (F(1) * k4.scale, F(1) * k4.scale)
 
     def test_structural_matches_literal_on_perfect_info_games(self, mini_coloring):
-        from provergames.subforms import _PerfectInfoSearch
-
         game = mini_coloring.game
         assert is_perfect_information(game)
         literal = find_dominant_sse(game)  # within cap: literal path
-        structural = _PerfectInfoSearch(game, 4096).dominant()
+        structural = _perfect_info_dominant(game, 4096)
         assert literal is not None and structural is not None
         assert utility_vector(game, literal) == utility_vector(game, structural)
         sses = enumerate_sse(game)
@@ -436,14 +572,11 @@ class TestFindDominant:
         assert is_dominant_sse(game, structural, sses).verdict
 
     def test_structural_matches_literal_on_random_perfect_info(self):
-        from provergames.subforms import _PerfectInfoSearch
-        from randgames import random_root_lottery_game
-
         rng = random.Random(55)
         for _ in range(25):
             game = random_root_lottery_game(rng, profile_cap=512)
             literal_doms = dominant_sse_set(game, enumerate_sse(game))
-            structural = _PerfectInfoSearch(game, 4096).dominant()
+            structural = _perfect_info_dominant(game, 4096)
             if literal_doms:
                 assert structural is not None
                 assert utility_vector(game, structural) == utility_vector(
@@ -454,53 +587,14 @@ class TestFindDominant:
                 assert structural is None
 
     def test_structural_matches_literal_on_two_prover_perfect_info(self):
-        from fractions import Fraction
-
-        from provergames.subforms import _PerfectInfoSearch
-        from provergames.trees import profile_space_size
-        from randgames import ACTION_NAMES, PAY_GRID
-
         rng = random.Random(31337)
-
-        def random_two_prover_pi():
-            nodes = {}
-            budget = [9]
-
-            def pay():
-                while True:
-                    p = (rng.choice(PAY_GRID), rng.choice(PAY_GRID))
-                    if -1 <= sum(p) <= 1:
-                        return p
-
-            def grow(h, depth):
-                if depth >= 3 or budget[0] <= 0 or (depth > 0 and rng.random() < 0.4):
-                    nodes[h] = TerminalNode(pay(), rng.randrange(2))
-                    return
-                if rng.random() < 0.25:
-                    k = rng.randint(2, 3)
-                    w = [rng.randint(1, 3) for _ in range(k)]
-                    t = sum(w)
-                    nodes[h] = DecisionNode(
-                        NATURE, ACTION_NAMES[:k], tuple(Fraction(x, t) for x in w)
-                    )
-                else:
-                    budget[0] -= 1
-                    nodes[h] = DecisionNode(
-                        rng.randint(1, 2), ACTION_NAMES[: rng.randint(2, 3)]
-                    )
-                for a in nodes[h].actions:
-                    grow(h + (a,), depth + 1)
-
-            grow((), 0)
-            return make_game(2, nodes)
-
         with_dominant = without = 0
         for _ in range(120):
-            game = random_two_prover_pi()
+            game = random_pi_game(rng)
             if profile_space_size(game) > 3000:
                 continue
             literal = dominant_sse_set(game, enumerate_sse(game))
-            structural = _PerfectInfoSearch(game, 4096).dominant()
+            structural = _perfect_info_dominant(game, 4096)
             if literal:
                 with_dominant += 1
                 assert structural in literal
@@ -511,6 +605,33 @@ class TestFindDominant:
                 without += 1
                 assert structural is None
         assert with_dominant > 50
+
+    def test_one_pass_equals_layered_reference(self, pi_corpus):
+        found = 0
+        for game in pi_corpus:
+            assert not _against_reference(game, 4096)
+            _against_reference(game, 6)
+            found += _perfect_info_dominant(game, 4096) is not None
+        assert found > 400
+
+    def test_tight_cap_counts_only_filtered_classes(self, pi_corpus):
+        rescued = sum(
+            _against_reference(game, cap) for game in pi_corpus for cap in (1, 2, 3)
+        )
+        assert rescued > 0
+
+    def test_cap_still_bounds_a_filtered_list(self):
+        # Each prover is indifferent between answers 0 and 1, so both classes
+        # survive its filter; Nature at 1/3, 2/3 combines them into four.
+        pay, nodes = (F(0),), {(): DecisionNode(NATURE, ("x", "y"), (F(1, 3), F(2, 3)))}
+        for h in (("x",), ("y",)):
+            nodes[h] = DecisionNode(1, ("a", "b"))
+            nodes[h + ("a",)] = TerminalNode(pay, 0)
+            nodes[h + ("b",)] = TerminalNode(pay, 1)
+        game = make_game(1, nodes)
+        assert _perfect_info_dominant(game, 4) is not None
+        with pytest.raises(CapExceededError):
+            _perfect_info_dominant(game, 3)
 
     def test_cap_error_on_big_imperfect_info(self):
         # Pooled sets and an over-cap profile space: no fast path applies.
