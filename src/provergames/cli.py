@@ -30,6 +30,7 @@ from .protocols import (
 from .subforms import find_dominant_sse
 from .trees import (
     GameTree,
+    StrategyProfile,
     check_perfect_recall,
     rational,
     utility_vector,
@@ -73,9 +74,14 @@ def _load_game(args) -> GameTree:
     return game
 
 
-def _load_strategy(path: str):
+def _load_strategy(path: str, game: GameTree) -> StrategyProfile:
+    """A strategy document that names only information sets of `game`."""
     with open(path) as fp:
-        return gamefile.load_strategy(fp)
+        s = gamefile.load_strategy(fp)
+    for key, _ in s.choices:
+        if key not in game.set_by_key:
+            raise GameFileError(f"choices[{key!r}]: the game has no such information set")
+    return s
 
 
 def _cmd_build(args) -> int:
@@ -143,7 +149,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check_sse(args) -> int:
     game = _load_game(args)
-    s = _load_strategy(args.strategy)
+    s = _load_strategy(args.strategy, game)
     cert = is_sse(game, s)
     doc = gamefile.report_doc("sse", {"certificate": gamefile._doc_value(cert)})
     lines = [f"sse: {str(cert.verdict).lower()}"]
@@ -204,7 +210,7 @@ def _cmd_check_gap(args) -> int:
     alpha = rational(args.alpha)
     gap_threshold(alpha)  # reject a non-positive alpha before any search
     if args.strategy:
-        s_star = _load_strategy(args.strategy)
+        s_star = _load_strategy(args.strategy, game)
     else:
         s_star = find_dominant_sse(game, profile_cap=args.max_profiles)
         if s_star is None:
@@ -228,7 +234,7 @@ def _cmd_check_gap(args) -> int:
 
 def _cmd_prune(args) -> int:
     game = _load_game(args)
-    s = _load_strategy(args.strategy)
+    s = _load_strategy(args.strategy, game)
     pruned, interval_map = prune_nature(game, s, args.alpha, args.prover)
     report = verify_pruning(
         game, pruned, s, args.alpha, designated_prover=args.prover,

@@ -13,9 +13,14 @@ between integers and Nature weights cancel (the realization weights of the
 sequence form). Only a reported violation turns back into exact Fractions:
 its delta is the integer gain over the scale of the member, or of the reached
 members, and its belief the members' weights over their sum, so certificates
-equal those of a Fraction evaluation. `enumerate_sse` checks recall and
-compiles the core once, then passes it to `is_sse` as the private `_core`
-for every profile; a standalone `is_sse` call compiles its own.
+equal those of a Fraction evaluation. The check is one staged pass: the
+core's `stages` run the bottom-up steps a set needs, and the set is checked
+on the values computed so far, before any node above it is valued; the
+violations are then put back in `sorted_sets` order. `enumerate_sse` checks
+recall and compiles the core once, then passes it to `is_sse` as the private
+`_core` for every profile, with the private `_first`: only the verdict
+matters there, so the pass stops at the first violation, which the
+certificate reports alone. A standalone `is_sse` call compiles its own core.
 """
 
 from __future__ import annotations
@@ -71,18 +76,29 @@ def _require_recall(game: GameTree) -> None:
 
 
 def is_sse(
-    game: GameTree, s: StrategyProfile, *, _core: _IntCore | None = None
+    game: GameTree,
+    s: StrategyProfile,
+    *,
+    _core: _IntCore | None = None,
+    _first: bool = False,
 ) -> SseCertificate:
-    """One-shot deviation check: one bottom-up and one top-down pass on the
-    integer core, which `enumerate_sse` compiles once and passes as `_core`."""
+    """One-shot deviation check: one top-down reach pass, then one staged
+    bottom-up pass on the integer core that checks each set as soon as its
+    members' children are valued. `enumerate_sse` compiles the core once and
+    passes it as `_core`; with `_first` the check stops at the first
+    violation and reports it alone."""
     if _core is None:
         _require_recall(game)
         _core = _IntCore(game)
     choice = _core.choices(s)
-    value, reached = _core.evaluate(choice)
-    field, weight = _core.field, _core.weight
+    reached = _core.reach(choice)
+    value = _core.leaf[:]
+    advance, field, weight = _core.advance, _core.field, _core.weight
+    stats = {"ops": _core.ops}
     violations = []
-    for k, iset in enumerate(_core.sets):
+    for steps, k in _core.stages:
+        advance(value, choice, steps)
+        iset = _core.sets[k]
         owner = iset.owner
         members, rows, c = _core.members[k], _core.rows[k], choice[k]
         chosen = iset.actions[c]
@@ -99,6 +115,8 @@ def is_sse(
                     violations.append(
                         SseViolation(iset.key, True, None, belief, chosen, label, delta)
                     )
+                    if _first:
+                        return SseCertificate(False, tuple(violations), stats)
         else:
             for h, m, row in zip(iset.members, members, rows):
                 base = field(value[row[c]], owner)
@@ -111,7 +129,10 @@ def is_sse(
                         violations.append(
                             SseViolation(iset.key, False, h, None, chosen, label, delta)
                         )
-    return SseCertificate(not violations, tuple(violations), {"ops": _core.ops})
+                        if _first:
+                            return SseCertificate(False, tuple(violations), stats)
+    violations.sort(key=lambda v: v.set_key)  # stable: `sorted_sets` order
+    return SseCertificate(not violations, tuple(violations), stats)
 
 
 def _value_under(
@@ -230,7 +251,11 @@ def enumerate_sse(
         raise CapExceededError(f"{size} profiles exceed cap {cap}", size)
     _require_recall(game)
     core = _IntCore(game)
-    return [s for s in all_profiles(game) if is_sse(game, s, _core=core).verdict]
+    return [
+        s
+        for s in all_profiles(game)
+        if is_sse(game, s, _core=core, _first=True).verdict
+    ]
 
 
 def max_total_utility_sse(

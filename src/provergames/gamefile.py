@@ -165,7 +165,10 @@ def strategy_from_doc(doc: Any) -> StrategyProfile:
     choices = doc.get("choices")
     if not isinstance(choices, dict):
         raise GameFileError("strategy document must map set keys to actions")
-    return StrategyProfile.from_dict({str(k): str(v) for k, v in choices.items()})
+    for key, action in choices.items():
+        _typed(key, str, f"choices key {key!r}")
+        _typed(action, str, f"choices[{key!r}]")
+    return StrategyProfile.from_dict(choices)
 
 
 def dumps(doc: Any) -> str:

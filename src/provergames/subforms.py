@@ -364,6 +364,8 @@ def _perfect_info_dominant(game: GameTree, class_cap: int) -> StrategyProfile | 
         if out and (node.player != NATURE or h == ()):
             best = {j: max(cls.value[j - 1] for cls in out) for j in owners}
             out = [cls for cls in out if all(cls.value[j - 1] >= b for j, b in best.items())]
+            if len(out) > class_cap:
+                raise CapExceededError(f"continuation classes exceed cap {class_cap}", len(out))
         classes[h], actors[h] = out, owners
     final = classes[()]
     if not final:

@@ -511,6 +511,16 @@ class _IntCore:
             for i in reversed(range(len(order)))
             if i not in pay
         )
+        # Set k is ready once every step above its shallowest member has run:
+        # topo_order sorts by length, so every child of every member lies
+        # there. Sets go deepest-ready first, each with the steps it adds.
+        stages, done = [], 0
+        for top, k in sorted(((min(m), k) for k, m in enumerate(self.members)), reverse=True):
+            start = done
+            while done < len(self.bottom_up) and self.bottom_up[done][0] > top:
+                done += 1
+            stages.append((self.bottom_up[start:done], k))
+        self.stages = tuple(stages)
         self.rows = tuple(tuple(self.kids[m] for m in members) for members in self.members)
         self._keyed = tuple(
             (iset.key, {a: n for n, a in enumerate(iset.actions)}) for iset in self.sets
@@ -519,9 +529,20 @@ class _IntCore:
         self._posteriors: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def choices(self, s: StrategyProfile) -> list[int]:
-        """Index of the chosen action at each set, in `sorted_sets` order."""
+        """Index of the chosen action at each set, in `sorted_sets` order.
+        `s.choices` is read by position when its keys are exactly those of
+        `sorted_sets`, and through the key map otherwise."""
+        keyed = self._keyed
         try:
-            return [actions[s._map[key]] for key, actions in self._keyed]
+            if len(s.choices) == len(keyed):
+                out = [
+                    actions[a]
+                    for (key, a), (want, actions) in zip(s.choices, keyed)
+                    if key == want
+                ]
+                if len(out) == len(keyed):
+                    return out
+            return [actions[s._map[key]] for key, actions in keyed]
         except KeyError:
             require_total_profile(self.game, s)  # raises the ProfileError
             raise
@@ -532,14 +553,22 @@ class _IntCore:
         return (v >> (prover - 1) * self._bits) & self._mask
 
     def evaluate(self, choice: list[int]) -> tuple[list[int], bytearray]:
-        """Packed node values and reached flags under the profile `choice`;
-        a node is reached when the profile and positive Nature moves lead
-        to it from the root."""
+        """Packed node values and reached flags under the profile `choice`."""
         value = self.leaf[:]
+        self.advance(value, choice, self.bottom_up)
+        return value, self.reach(choice)
+
+    def advance(self, value: list[int], choice: list[int], steps: tuple) -> None:
+        """Run bottom-up `steps` (a slice of `bottom_up`, as in `stages`) on
+        `value`, which starts as a copy of `leaf`."""
         get = value.__getitem__
-        for i, kids, k in self.bottom_up:
+        for i, kids, k in steps:
             value[i] = sum(map(get, kids)) if k < 0 else value[kids[choice[k]]]
-        reached = bytearray(len(value))
+
+    def reach(self, choice: list[int]) -> bytearray:
+        """Reached flags under the profile `choice`: a node is reached when
+        the profile and positive Nature moves lead to it from the root."""
+        reached = bytearray(len(self.leaf))
         stack = [0]
         while stack:
             i = stack.pop()
@@ -549,7 +578,7 @@ class _IntCore:
                 stack.extend(self.kids[i])
             else:
                 stack.append(self.kids[i][choice[k]])
-        return value, reached
+        return reached
 
     def posterior(self, k: int, live: tuple[int, ...]) -> tuple[tuple, int]:
         """Bayes belief over the members of set `k` when exactly the members at
@@ -654,9 +683,9 @@ def all_profiles(game: GameTree, cap: int | None = None):
         count *= len(iset.actions)
     if cap is not None and count > cap:
         raise CapExceededError(f"{count} profiles exceed cap {cap}", count)
-    keys = [iset.key for iset in sets]
+    keys = [iset.key for iset in sets]  # already in key order
     for combo in itertools.product(*(iset.actions for iset in sets)):
-        yield StrategyProfile(tuple(sorted(zip(keys, combo))))
+        yield StrategyProfile(tuple(zip(keys, combo)))
 
 
 def profile_space_size(game: GameTree) -> int:

@@ -188,3 +188,17 @@ def random_pi_game(
 
     grow((), 0)
     return make_game(provers, nodes)
+
+
+def corpus_games(count: int):
+    """The criterion-4/7 corpus: <=200 nodes, <=3 actions, <=2 provers."""
+    rng = random.Random(0xC0FFEE)
+    for i in range(count):
+        yield random_game(
+            rng,
+            provers=2,
+            max_nodes=20 + (i % 10) * 20,
+            max_depth=3 + (i % 3),
+            max_actions=3,
+            max_prover_sets=6,
+        ), rng

@@ -38,6 +38,7 @@ from provergames.subforms import find_subforms
 from provergames.trees import expected_utility, profile_space_size
 
 from randgames import (
+    corpus_games,
     random_game,
     random_profile,
     random_root_lottery_game,
@@ -47,20 +48,6 @@ from randgames import (
 def report(n: int, ok: bool, summary: str) -> None:
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {summary}")
     assert ok, f"criterion {n} failed: {summary}"
-
-
-def corpus_games(count: int):
-    """The shared random corpus: <=200 nodes, <=3 actions, <=2 provers."""
-    rng = random.Random(0xC0FFEE)
-    for i in range(count):
-        yield random_game(
-            rng,
-            provers=2,
-            max_nodes=20 + (i % 10) * 20,
-            max_depth=3 + (i % 3),
-            max_actions=3,
-            max_prover_sets=6,
-        ), rng
 
 
 def test_criterion_1_three_coloring():

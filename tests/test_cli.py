@@ -322,6 +322,31 @@ class TestInputBoundary:
         assert code == 2
         assert err.startswith(f"error: {where}:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("check-sse", "GAME", "STRATEGY"),
+            ("check-gap", "GAME", "--strategy", "STRATEGY", "--alpha", "1", "--correct-bit", "1"),
+            ("prune", "GAME", "STRATEGY", "--alpha", "1", "--prover", "1"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "choices, where",
+        [
+            ({"": 5}, "choices['']"),
+            ({"": ["x"]}, "choices['']"),
+            ({"": "x", "zz": "y"}, "choices['zz']"),
+        ],
+    )
+    def test_bad_strategy_exits_two_with_its_location(
+        self, tmp_path, capsys, command, choices, where
+    ):
+        strategy = tmp_path / "input.strategy"
+        strategy.write_text(json.dumps({"format": "strategy/1", "choices": choices}))
+        paths = {"GAME": self.write(tmp_path), "STRATEGY": strategy}
+        code, out, err = run(capsys, *(paths.get(a, a) for a in command))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {where}:") and "Traceback" not in err
 
     def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

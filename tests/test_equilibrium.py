@@ -14,7 +14,7 @@ from provergames.equilibrium import (
     is_sse_bruteforce,
     max_total_utility_sse,
 )
-from provergames.errors import CapExceededError, ImperfectRecallError
+from provergames.errors import CapExceededError, ImperfectRecallError, ProfileError
 from provergames.pruning import prune_nature
 from provergames.trees import (
     NATURE,
@@ -23,6 +23,7 @@ from provergames.trees import (
     InformationSet,
     StrategyProfile,
     TerminalNode,
+    _IntCore,
     all_profiles,
     continuation_values,
     make_game,
@@ -32,7 +33,7 @@ from provergames.trees import (
     utility_vector,
 )
 
-from randgames import random_game, random_profile, random_root_lottery_game
+from randgames import corpus_games, random_game, random_profile, random_root_lottery_game
 
 
 def is_sse_fraction(game: GameTree, s: StrategyProfile) -> SseCertificate:
@@ -258,6 +259,86 @@ class TestIntegerCore:
         assert is_sse(game, StrategyProfile.from_dict({key: "a"})).verdict
         (v,) = is_sse(game, StrategyProfile.from_dict({key: "b"})).violations
         assert v.delta == F(1, 2)
+
+
+def assert_first_agrees(game, s):
+    """The verdict-only check reports the full verdict and, on a failure, one
+    of the full certificate's violations; returns the verdict."""
+    full = is_sse(game, s)
+    first = is_sse(game, s, _first=True)
+    assert first.verdict == full.verdict and first.stats == full.stats
+    if full.verdict:
+        assert first.violations == ()
+    else:
+        (v,) = first.violations
+        assert v in full.violations
+    return full.verdict
+
+
+class TestStagedCheck:
+    def test_first_violation_matches_full_certificate(self):
+        rng = random.Random(606)
+        games = []
+        for game, _ in corpus_games(300):
+            games.append(game)
+            games.append(prune_nature(game, random_profile(rng, game), 1, 1)[0])
+        for _ in range(30):
+            game = random_root_lottery_game(rng, profile_cap=512)
+            games.append(game)
+            games.append(prune_nature(game, random_profile(rng, game), 2, 1)[0])
+        verdicts = set()
+        for game in games:
+            for _ in range(8):
+                verdicts.add(assert_first_agrees(game, random_profile(rng, game)))
+            for s in enumerate_sse(game)[:2]:
+                assert assert_first_agrees(game, s)
+        assert verdicts == {True, False}
+
+    def test_set_is_checked_after_its_shallowest_member(self):
+        # One set over ("a", "x", "y") and ("b",): the deeper member sorts
+        # first, and ("b",)'s children are Nature nodes that are valued
+        # only by the steps above the shallow member.
+        one = (F(1),)
+        nodes = {
+            (): DecisionNode(NATURE, ("a", "b"), (F(1, 2), F(1, 2))),
+            ("a",): DecisionNode(NATURE, ("x",), one),
+            ("a", "x"): DecisionNode(NATURE, ("y",), one),
+            ("b",): DecisionNode(1, ("l", "r")),
+            ("a", "x", "y"): DecisionNode(1, ("l", "r")),
+            ("a", "x", "y", "l"): TerminalNode((F(0),), 0),
+            ("a", "x", "y", "r"): TerminalNode((F(0),), 0),
+        }
+        for a, pay in (("l", F(0)), ("r", F(1))):
+            nodes[("b", a)] = DecisionNode(NATURE, ("n",), one)
+            nodes[("b", a, "n")] = TerminalNode((pay,), 1)
+        iset = InformationSet(1, (("a", "x", "y"), ("b",)), ("l", "r"))
+        game = GameTree(1, nodes, (iset,))
+        s = StrategyProfile.from_dict({iset.key: "l"})
+        (v,) = is_sse(game, s).violations
+        assert v.reachable and v.better == "r" and v.delta == F(1, 2)
+        assert not is_sse(game, s, _first=True).verdict
+        assert_same_certificate(game, s)
+        assert enumerate_sse(game) == [s.replace(iset.key, "r")]
+
+    def test_choices_fall_back_on_keys_that_do_not_line_up(self, k3):
+        game, s = k3.game, k3.honest
+        core = _IntCore(game)
+        expected = core.choices(s)
+        assert core.choices(StrategyProfile(tuple(reversed(s.choices)))) == expected
+        extra = StrategyProfile.from_dict({**s.as_dict(), "zz": "x"})
+        assert core.choices(extra) == expected
+        assert is_sse(game, extra) == is_sse(game, s)
+        (key, _), rest = s.choices[0], s.as_dict()
+        del rest[key]
+        missing = StrategyProfile.from_dict(rest)
+        renamed = StrategyProfile.from_dict({**rest, key + "?": "x"})
+        assert len(renamed.choices) == len(s.choices)
+        bad_action = s.replace(key, "no-such-action")
+        for broken in (missing, renamed, bad_action):
+            with pytest.raises(ProfileError):
+                core.choices(broken)
+            with pytest.raises(ProfileError):
+                is_sse(game, broken, _first=True)
 
 
 class TestBruteforceAgreement:

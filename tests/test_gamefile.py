@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -67,6 +68,13 @@ class TestStrategyFiles:
     def test_not_a_strategy(self):
         with pytest.raises(GameFileError):
             gamefile.strategy_from_doc({"format": "game/1"})
+
+    @pytest.mark.parametrize(
+        "choices, where", [({5: "a"}, "choices key 5"), ({"a": 5}, "choices['a']")]
+    )
+    def test_non_string_key_or_action(self, choices, where):
+        with pytest.raises(GameFileError, match=re.escape(where)):
+            gamefile.strategy_from_doc({"format": "strategy/1", "choices": choices})
 
 
 class TestDiagnostics:

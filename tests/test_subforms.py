@@ -164,6 +164,8 @@ def layered_pi_dominant(game: GameTree, class_cap: int) -> StrategyProfile | Non
         filt = filters.get(h)
         if filt:
             out = [c for c in out if all(c.value[j - 1] >= b for j, b in filt.items())]
+        if node.player != NATURE and len(out) > class_cap:
+            raise CapExceededError("continuation classes exceed cap", len(out))
         return out
 
     def build() -> dict[History, list[_Class]]:
@@ -632,6 +634,18 @@ class TestFindDominant:
         assert _perfect_info_dominant(game, 4) is not None
         with pytest.raises(CapExceededError):
             _perfect_info_dominant(game, 3)
+
+    def test_cap_bounds_a_prover_nodes_classes(self):
+        # Equal payments, answers 0, 1, 1: two classes survive at the root.
+        nodes = {(): DecisionNode(1, ("a", "b", "c"))}
+        for a, bit in zip("abc", (0, 1, 1)):
+            nodes[(a,)] = TerminalNode((F(0),), bit)
+        game = make_game(1, nodes)
+        assert _perfect_info_dominant(game, 2) is not None
+        with pytest.raises(CapExceededError):
+            _perfect_info_dominant(game, 1)
+        with pytest.raises(CapExceededError):
+            layered_pi_dominant(game, 1)
 
     def test_cap_error_on_big_imperfect_info(self):
         # Pooled sets and an over-cap profile space: no fast path applies.
