@@ -17,11 +17,11 @@ from typing import Mapping
 from .errors import BeliefError
 from .trees import (
     NATURE,
-    DecisionNode,
     GameTree,
     History,
     InformationSet,
     StrategyProfile,
+    TerminalNode,
     continuation_values,
     reach_map,
     require_total_profile,
@@ -96,57 +96,47 @@ def bayes_beliefs(
     return {h: reach[h] / total for h in iset.members}
 
 
-def _member_perturbation(game: GameTree, s: StrategyProfile, h: History):
-    """(c, e, f) bookkeeping for one member under the eps-perturbed profile."""
-    c, e, f = Fraction(1), 0, 0
-    for k in range(len(h)):
-        prefix, a = h[:k], h[k]
-        node = game.nodes[prefix]
-        assert isinstance(node, DecisionNode)
-        if node.player == NATURE:
-            zero_actions = sum(1 for p in node.dist if p == 0)
-            p = node.dist[node.actions.index(a)]
-            if p > 0:
-                c *= p
-                if zero_actions:
-                    f += 1
-            else:
-                e += 1
-                c *= Fraction(1, zero_actions)
-        else:
-            iset = game.set_by_history[prefix]
-            if s.action(iset.key) == a:
-                # A pure strategy is completely mixed only at one-action sets.
-                if len(iset.actions) >= 2:
-                    f += 1
-            else:
-                e += 1
-                c *= Fraction(1, len(iset.actions) - 1)
-    return c, e, f
-
-
 def limit_beliefs(
     game: GameTree, s: StrategyProfile
 ) -> tuple[BeliefSystem, LimitBeliefTrace]:
     """Belief system making `s` sequentially rational wherever `s` is an SSE.
 
     Reachable sets come out exactly equal to Bayes' rule; unreachable sets get
-    the limit of the perturbed posteriors.
+    the limit of the perturbed posteriors. One top-down pass gives every
+    history its (c, e, f).
     """
     require_total_profile(game, s)
+    cef: dict[History, tuple[Fraction, int, int]] = {(): (Fraction(1), 0, 0)}
+    for h in game.topo_order:
+        node = game.nodes[h]
+        if isinstance(node, TerminalNode):
+            continue
+        c, e, f = cef[h]
+        if node.player == NATURE:
+            zeros = node.dist.count(0)
+            for a, p in zip(node.actions, node.dist):
+                if p:
+                    cef[h + (a,)] = (c * p, e, f + (zeros > 0))
+                else:
+                    cef[h + (a,)] = (c / zeros, e + 1, f)
+        else:
+            iset = game.set_by_history[h]
+            chosen, others = s.action(iset.key), len(iset.actions) - 1
+            for a in node.actions:
+                if a == chosen:  # completely mixed only at a one-action set
+                    cef[h + (a,)] = (c, e, f + (others > 0))
+                else:
+                    cef[h + (a,)] = (c / others, e + 1, f)
     dists: dict[str, tuple[Fraction, ...]] = {}
     traces = []
     for iset in game.sorted_sets:
-        members = []
-        for h in iset.members:
-            c, e, f = _member_perturbation(game, s, h)
-            members.append(MemberTrace(h, c, e, f))
+        members = tuple(MemberTrace(h, *cef[h]) for h in iset.members)
         d = min(m.e for m in members)
         b_d = sum((m.c for m in members if m.e == d), Fraction(0))
         dists[iset.key] = tuple(
             m.c / b_d if m.e == d else Fraction(0) for m in members
         )
-        traces.append(SetTrace(iset.key, tuple(members), d, b_d))
+        traces.append(SetTrace(iset.key, members, d, b_d))
     return BeliefSystem.from_dict(dists), LimitBeliefTrace(tuple(traces))
 
 

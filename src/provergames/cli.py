@@ -8,6 +8,7 @@ errors. Reports are deterministic byte-for-byte given identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import gamefile
@@ -40,16 +41,22 @@ from .trees import (
 DEFAULT_NODE_CAP = 10**5
 
 
-def _emit(args, doc: dict, text_lines: list[str]) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fp:
+            fp.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(args, doc: dict, text_lines: list[str], stdout: bool = False) -> None:
+    """The report in `args.format`, to `--out` unless `stdout` is set."""
     if args.format == "structured":
-        payload = gamefile.dumps(doc)
+        text = gamefile.dumps(doc)
     else:
-        payload = "\n".join(text_lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fp:
-            fp.write(payload)
-    else:
-        sys.stdout.write(payload)
+        text = "\n".join(text_lines) + "\n"
+    _write(None if stdout else args.out, text)
 
 
 def _read_game(args) -> GameTree:
@@ -119,16 +126,9 @@ def _cmd_build(args) -> int:
         build = build_mrip_simulation(MripSpec.from_doc(doc))
     else:  # pragma: no cover - argparse restricts choices
         raise GameError(f"unknown protocol {args.protocol}")
-    doc = gamefile.game_to_doc(build.game)
-    payload = gamefile.dumps(doc)
-    if args.out:
-        with open(args.out, "w") as fp:
-            fp.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(args.out, gamefile.dumps(gamefile.game_to_doc(build.game)))
     if args.honest_out:
-        with open(args.honest_out, "w") as fp:
-            gamefile.save_strategy(build.honest, fp)
+        _write(args.honest_out, gamefile.dumps(gamefile.strategy_to_doc(build.honest)))
     return 0
 
 
@@ -137,10 +137,7 @@ def _cmd_validate(args) -> int:
     report = validate_game(game)
     recall = check_perfect_recall(game) if report.ok else None
     violations = list(report.violations) + list(recall.violations if recall else ())
-    doc = {
-        "valid": not violations,
-        "violations": [gamefile._doc_value(v) for v in violations],
-    }
+    doc = {"valid": not violations, "violations": violations}
     lines = ["valid" if not violations else "invalid"]
     lines += [f"{v.code} at {v.where or '<root>'}: {v.message}" for v in violations]
     _emit(args, gamefile.report_doc("validate", doc), lines)
@@ -151,7 +148,7 @@ def _cmd_check_sse(args) -> int:
     game = _load_game(args)
     s = _load_strategy(args.strategy, game)
     cert = is_sse(game, s)
-    doc = gamefile.report_doc("sse", {"certificate": gamefile._doc_value(cert)})
+    doc = gamefile.report_doc("sse", {"certificate": cert})
     lines = [f"sse: {str(cert.verdict).lower()}"]
     for v in cert.violations:
         where = "reachable" if v.reachable else "unreachable"
@@ -199,8 +196,7 @@ def _cmd_find_dominant(args) -> int:
         "utilities: " + ", ".join(utilities),
     ]
     if args.strategy_out:
-        with open(args.strategy_out, "w") as fp:
-            gamefile.save_strategy(dom, fp)
+        _write(args.strategy_out, gamefile.dumps(gamefile.strategy_to_doc(dom)))
     _emit(args, doc, lines)
     return 0
 
@@ -218,11 +214,13 @@ def _cmd_check_gap(args) -> int:
     if args.correct_bit is not None:
         correct = args.correct_bit
     elif "correct_bit" in game.meta:
-        correct = int(game.meta["correct_bit"])
+        correct = game.meta["correct_bit"]
+        if type(correct) is not int or correct not in (0, 1):
+            raise GameFileError(f"meta.correct_bit: must be 0 or 1 (an integer), got {correct!r}")
     else:
         raise GameError("no --correct-bit given and game metadata has none")
     report = verify_utility_gap(game, s_star, alpha, correct, cap=args.max_profiles)
-    doc = gamefile.report_doc("gap", {"report": gamefile._doc_value(report)})
+    doc = gamefile.report_doc("gap", {"report": report})
     lines = [
         f"gap verdict at alpha={alpha}: {str(report.verdict).lower()}",
         f"wrong profiles: {report.wrong_profiles}",
@@ -241,27 +239,21 @@ def _cmd_prune(args) -> int:
         profile_cap=args.max_profiles,
     )
     if args.out:
-        with open(args.out, "w") as fp:
-            gamefile.save_game(pruned, fp)
-    doc = gamefile.report_doc(
-        "prune",
-        {
-            "intervals": gamefile._doc_value(interval_map),
-            "report": gamefile._doc_value(report),
-        },
-    )
+        _write(args.out, gamefile.dumps(gamefile.game_to_doc(pruned)))
+    doc = gamefile.report_doc("prune", {"intervals": interval_map, "report": report})
     lines = [
         f"pruned by prover {args.prover} at alpha={args.alpha}",
         f"support ok: {str(all(e.ok for e in report.support)).lower()}",
         f"designated drift ok: {str(report.claim2_ok).lower()}",
         f"dominance preserved: {report.dominance_ok}",
     ]
-    out_args = argparse.Namespace(format=args.format, out=None)
-    _emit(out_args, doc, lines)
+    _emit(args, doc, lines, stdout=True)
     return 0 if report.ok else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="provergames",
         description="Build and analyze verifier-prover payment games.",

@@ -8,7 +8,7 @@ trip is therefore byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, IO
 
@@ -99,12 +99,18 @@ def game_to_doc(game: GameTree, beliefs: BeliefSystem | None = None) -> dict:
 
 
 def _plain(value: Any) -> Any:
+    """`value` as JSON-ready data: rationals as strings, tuples as lists, dict keys
+    as strings and dataclasses as objects of their fields."""
+    if isinstance(value, (str, int)):  # the common leaves skip the tests below
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
@@ -199,16 +205,4 @@ def load_strategy(fp: IO[str]) -> StrategyProfile:
 
 
 def report_doc(kind: str, payload: Any) -> dict:
-    return {"format": f"report/{kind}/1", **_doc_value(payload)}
-
-
-def _doc_value(value: Any) -> Any:
-    if is_dataclass(value) and not isinstance(value, type):
-        return {k: _doc_value(v) for k, v in asdict(value).items()}
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(_doc_value(k)): _doc_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_doc_value(v) for v in value]
-    return value
+    return {"format": f"report/{kind}/1", **_plain(payload)}

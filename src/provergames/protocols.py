@@ -434,6 +434,41 @@ def build_three_coloring(
 # ---------------------------------------------------------------------------
 
 
+def _mip_subtree(
+    nodes: dict[History, Node],
+    signals: dict[History, Any],
+    honest: dict[History, str],
+    h: History,
+    mip: MipBlackbox,
+    first: int,
+    tags: tuple[tuple, tuple],
+    payments: tuple[tuple[Fraction, ...], tuple[Fraction, ...]],
+    answer_bit: int,
+) -> None:
+    """One run of `mip` below `h`: Nature draws an outcome, prover `first` answers
+    its query, prover `first + 1` answers its own, and a terminal pays
+    `payments[accepted]`. A prover sees only its query: its signal is the
+    matching entry of `tags` followed by the query. `honest` gets each prover
+    node's honest answer."""
+    nodes[h] = DecisionNode(
+        NATURE, tuple(o.label for o in mip.outcomes), tuple(o.prob for o in mip.outcomes)
+    )
+    honest1, honest2 = dict(mip.honest_p1), dict(mip.honest_p2)
+    for o in mip.outcomes:
+        h1 = h + (o.label,)
+        nodes[h1] = DecisionNode(first, mip.p1_alphabet(o.p1_query))
+        signals[h1] = tags[0] + (o.p1_query,)
+        honest[h1] = honest1[o.p1_query]
+        for a1 in mip.p1_alphabet(o.p1_query):
+            h2 = h1 + (a1,)
+            nodes[h2] = DecisionNode(first + 1, mip.p2_alphabet(o.p2_query))
+            signals[h2] = tags[1] + (o.p2_query,)
+            honest[h2] = honest2[o.p2_query]
+            for a2 in mip.p2_alphabet(o.p2_query):
+                ok = mip.accepts(o.label, a1, a2)
+                nodes[h2 + (a2,)] = TerminalNode(payments[ok], answer_bit)
+
+
 def build_nexp_protocol(mip: MipBlackbox) -> ProtocolGame:
     """Answer bit first; a yes claim triggers the blackbox with both provers.
 
@@ -445,26 +480,13 @@ def build_nexp_protocol(mip: MipBlackbox) -> ProtocolGame:
     nodes: dict[History, Node] = {
         (): DecisionNode(1, ("c=0", "c=1")),
         ("c=0",): TerminalNode((half, half), 0),
-        ("c=1",): DecisionNode(
-            NATURE,
-            tuple(o.label for o in mip.outcomes),
-            tuple(o.prob for o in mip.outcomes),
-        ),
     }
     signals: dict[History, Any] = {(): ("root",)}
-    for o in mip.outcomes:
-        h1 = ("c=1", o.label)
-        nodes[h1] = DecisionNode(1, mip.p1_alphabet(o.p1_query))
-        signals[h1] = ("p1", o.p1_query)
-        for a1 in mip.p1_alphabet(o.p1_query):
-            h2 = h1 + (a1,)
-            nodes[h2] = DecisionNode(2, mip.p2_alphabet(o.p2_query))
-            signals[h2] = ("p2", o.p2_query)
-            for a2 in mip.p2_alphabet(o.p2_query):
-                ok = mip.accepts(o.label, a1, a2)
-                nodes[h2 + (a2,)] = TerminalNode(
-                    (one, one) if ok else (-one, -one), 1
-                )
+    honest = {(): "c=1" if mip.is_true else "c=0"}
+    _mip_subtree(
+        nodes, signals, honest, ("c=1",), mip, 1, (("p1",), ("p2",)),
+        ((-one, -one), (one, one)), 1,
+    )
     info_sets = group_info_sets(nodes, signals)
     meta = {
         "protocol": "nexp",
@@ -473,17 +495,8 @@ def build_nexp_protocol(mip: MipBlackbox) -> ProtocolGame:
         "correct_bit": 1 if mip.is_true else 0,
     }
     game = GameTree(2, nodes, info_sets, meta)
-
-    choices = {game.set_by_history[()].key: "c=1" if mip.is_true else "c=0"}
-    honest1, honest2 = dict(mip.honest_p1), dict(mip.honest_p2)
-    for iset in info_sets:
-        sig = signals[iset.members[0]]
-        if sig[0] == "p1":
-            choices[iset.key] = honest1[sig[1]]
-        elif sig[0] == "p2":
-            choices[iset.key] = honest2[sig[1]]
-    honest = StrategyProfile.from_dict(choices)
-    return ProtocolGame(game, honest, scale, 1 if mip.is_true else 0)
+    honest_profile = StrategyProfile.from_dict({i.key: honest[i.members[0]] for i in info_sets})
+    return ProtocolGame(game, honest_profile, scale, 1 if mip.is_true else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +574,7 @@ def build_pnexp_protocol(
 
     nodes: dict[History, Node] = {}
     signals: dict[History, Any] = {}
+    honest: dict[History, str] = {}
     root_actions = []
     for c in (0, 1):
         for bits in itertools.product((0, 1), repeat=alpha):
@@ -588,30 +602,16 @@ def build_pnexp_protocol(
             hq = r + (f"i={k}",)
             nodes[hq] = DecisionNode(2, ("c*=0", "c*=1"))
             signals[hq] = ("bit", k, q)
+            honest[hq] = "c*=1" if mip.is_true else "c*=0"
             r1_if = {0: p(1 if claimed == 0 else 0), 1: p(1 if claimed == 1 else 0)}
             nodes[hq + ("c*=0",)] = TerminalNode(
                 (r1_if[0], p(Fraction(1, 2)), p(Fraction(1, 2))), c
             )
-            hm = hq + ("c*=1",)
-            nodes[hm] = DecisionNode(
-                NATURE,
-                tuple(o.label for o in mip.outcomes),
-                tuple(o.prob for o in mip.outcomes),
+            _mip_subtree(
+                nodes, signals, honest, hq + ("c*=1",), mip, 2,
+                (("mip1", k, q), ("mip2", k, q)),
+                ((r1_if[1], p(-1), p(-1)), (r1_if[1], p(1), p(1))), c,
             )
-            for o in mip.outcomes:
-                h1 = hm + (o.label,)
-                nodes[h1] = DecisionNode(2, mip.p1_alphabet(o.p1_query))
-                signals[h1] = ("mip1", k, q, o.p1_query)
-                for a1 in mip.p1_alphabet(o.p1_query):
-                    h2 = h1 + (a1,)
-                    nodes[h2] = DecisionNode(3, mip.p2_alphabet(o.p2_query))
-                    signals[h2] = ("mip2", k, q, o.p2_query)
-                    for a2 in mip.p2_alphabet(o.p2_query):
-                        ok = mip.accepts(o.label, a1, a2)
-                        nodes[h2 + (a2,)] = TerminalNode(
-                            (r1_if[1], p(1), p(1)) if ok else (r1_if[1], p(-1), p(-1)),
-                            c,
-                        )
     info_sets = group_info_sets(nodes, signals)
     honest_bits = []
     q = script.first
@@ -635,20 +635,9 @@ def build_pnexp_protocol(
         "correct_bit": correct,
     }
     game = GameTree(3, nodes, info_sets, meta)
-
-    choices = {
-        game.set_by_history[()].key: f"ans:{correct};{''.join(str(b) for b in honest_bits)}"
-    }
-    for iset in info_sets:
-        sig = signals[iset.members[0]]
-        if sig[0] == "bit":
-            choices[iset.key] = "c*=1" if mips[sig[2]].is_true else "c*=0"
-        elif sig[0] == "mip1":
-            choices[iset.key] = dict(mips[sig[2]].honest_p1)[sig[3]]
-        elif sig[0] == "mip2":
-            choices[iset.key] = dict(mips[sig[2]].honest_p2)[sig[3]]
-    honest = StrategyProfile.from_dict(choices)
-    return ProtocolGame(game, honest, scale, correct)
+    honest[()] = f"ans:{correct};{''.join(str(b) for b in honest_bits)}"
+    honest_profile = StrategyProfile.from_dict({i.key: honest[i.members[0]] for i in info_sets})
+    return ProtocolGame(game, honest_profile, scale, correct)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from provergames.beliefs import (
+    BeliefSystem,
+    LimitBeliefTrace,
+    MemberTrace,
+    SetTrace,
     bayes_beliefs,
     limit_beliefs,
     reachable_sets,
     verify_sequential_rationality,
 )
 from provergames.errors import BeliefError
+from provergames.pruning import prune_nature
 from provergames.trees import (
     NATURE,
     DecisionNode,
@@ -273,3 +278,105 @@ class TestSseImpliesSequentialRationality:
             mu, _ = limit_beliefs(game, s)
             assert verify_sequential_rationality(game, s, mu).verdict
         assert confirmed > 10
+
+
+def reference_member_perturbation(game, s, h):
+    """(c, e, f) of member `h`, walked along its own path from the root."""
+    c, e, f = F(1), 0, 0
+    for k in range(len(h)):
+        prefix, a = h[:k], h[k]
+        node = game.nodes[prefix]
+        if node.player == NATURE:
+            zero_actions = sum(1 for p in node.dist if p == 0)
+            p = node.dist[node.actions.index(a)]
+            if p > 0:
+                c *= p
+                if zero_actions:
+                    f += 1
+            else:
+                e += 1
+                c *= F(1, zero_actions)
+        else:
+            iset = game.set_by_history[prefix]
+            if s.action(iset.key) == a:
+                if len(iset.actions) >= 2:
+                    f += 1
+            else:
+                e += 1
+                c *= F(1, len(iset.actions) - 1)
+    return c, e, f
+
+
+def reference_limit_beliefs(game, s):
+    dists, traces = {}, []
+    for iset in game.sorted_sets:
+        members = [
+            MemberTrace(h, *reference_member_perturbation(game, s, h)) for h in iset.members
+        ]
+        d = min(m.e for m in members)
+        b_d = sum((m.c for m in members if m.e == d), F(0))
+        dists[iset.key] = tuple(m.c / b_d if m.e == d else F(0) for m in members)
+        traces.append(SetTrace(iset.key, tuple(members), d, b_d))
+    return BeliefSystem.from_dict(dists), LimitBeliefTrace(tuple(traces))
+
+
+def nature_chain(depth):
+    """A path `depth` deep: two Nature moves (one with a zero-probability exit)
+    then a prover move, over and over; every move but a one-action prover move
+    can leave the path."""
+    nodes, sets, h = {}, [], ()
+    for k in range(depth):
+        if k % 3 == 2:
+            actions = ("on",) if k % 12 == 5 else ("on", "off")
+            nodes[h] = DecisionNode(1 + k % 2, actions)
+            sets.append(InformationSet(1 + k % 2, (h,), actions))
+        else:
+            p = F(1, k % 7 + 2)
+            nodes[h] = DecisionNode(NATURE, ("on", "off", "zero"), (p, 1 - p, F(0)))
+            nodes[h + ("zero",)] = TerminalNode((F(0), F(0)), 0)
+        if "off" in nodes[h].actions:
+            nodes[h + ("off",)] = TerminalNode((F(k % 5, 4), F(0)), k % 2)
+        h += ("on",)
+    nodes[h] = TerminalNode((F(1), F(0)), 1)
+    return GameTree(2, nodes, tuple(sets))
+
+
+class TestLimitBeliefsMatchPathWalk:
+    def assert_same(self, game, s):
+        mu, trace = limit_beliefs(game, s)
+        ref_mu, ref_trace = reference_limit_beliefs(game, s)
+        assert mu == ref_mu and trace == ref_trace
+        for _, probs in mu.distributions:
+            assert all(type(p) is F for p in probs)
+        for st in trace.sets:
+            assert type(st.d) is int and type(st.b_d) is F
+            for m in st.members:
+                assert type(m.c) is F and type(m.e) is int and type(m.f) is int
+
+    def test_random_games_and_their_prunings(self):
+        rng = random.Random(2024)
+        checked = 0
+        for _ in range(120):
+            game = random_game(rng, max_nodes=60, max_prover_sets=6, nature_weight=0.4)
+            for _ in range(4):
+                s = random_profile(rng, game)
+                self.assert_same(game, s)
+                pruned, _ = prune_nature(game, s, rng.randint(1, 3), rng.randint(1, 2))
+                self.assert_same(pruned, s)
+                checked += 2
+        assert checked == 960
+
+    def test_protocol_fixtures(self, nexp_unsat_third, nexp_sat, nexp_clause_sat, pnexp_toy):
+        rng = random.Random(5)
+        for build in (nexp_unsat_third, nexp_sat, nexp_clause_sat, pnexp_toy):
+            self.assert_same(build.game, build.honest)
+            for _ in range(10):
+                self.assert_same(build.game, random_profile(rng, build.game))
+
+    def test_deep_nature_chain(self):
+        game = nature_chain(300)
+        rng = random.Random(11)
+        on = StrategyProfile.from_dict({iset.key: "on" for iset in game.info_sets})
+        self.assert_same(game, on)
+        for _ in range(10):
+            self.assert_same(game, random_profile(rng, game))

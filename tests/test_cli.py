@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from provergames.cli import main
+import provergames
+from provergames.cli import main, make_parser
 
 
 @pytest.fixture()
@@ -348,6 +353,18 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {where}:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [[1], None, "x", "1", True, 2])
+    def test_check_gap_refuses_a_bad_correct_bit(self, tmp_path, capsys, value):
+        game = self.write(tmp_path, meta={"correct_bit": value})
+        code, out, err = run(capsys, "check-gap", game, "--alpha", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: meta.correct_bit:") and "Traceback" not in err
+
+    def test_check_gap_reads_correct_bit(self, tmp_path, capsys):
+        game = self.write(tmp_path, meta={"correct_bit": 1})
+        code, out, _ = run(capsys, "check-gap", game, "--alpha", "3")
+        assert code == 0 and "measured gap: 1/2" in out
+
     def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["validate", str(self.write(tmp_path)), "--jobs", "2"])
@@ -371,3 +388,60 @@ class TestRationalFlags:
         )
         assert code == 2 and "zero denominator" in err and "Traceback" not in err
         assert not game.exists()
+
+
+class TestOneParser:
+    """`make_parser` is built once per process, and no call leaks into the next."""
+
+    def test_built_once(self):
+        assert make_parser() is make_parser()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("validate", "GAME", "--out", "OUT"), ("validate", "GAME")),
+            (("find-dominant", "GAME", "--format", "structured"), ("find-dominant", "GAME")),
+            (("find-dominant", "GAME", "--strategy-out", "OUT"), ("find-dominant", "GAME")),
+        ],
+    )
+    def test_second_call_behaves_as_in_a_fresh_process(
+        self, tmp_path, capsys, k3_edges, first, second
+    ):
+        game, written = tmp_path / "k3.game", tmp_path / "written"
+        run(capsys, "build", "three-coloring", k3_edges, "--out", game)
+        paths = {"GAME": game, "OUT": written}
+        run(capsys, *(paths.get(a, a) for a in first))
+        assert written.exists() == ("OUT" in first)
+        written.unlink(missing_ok=True)
+        after = run(capsys, *(paths.get(a, a) for a in second))
+        assert not written.exists()
+        make_parser.cache_clear()
+        assert run(capsys, *(paths.get(a, a) for a in second)) == after
+
+
+class TestShell:
+    def test_one_process_per_command_matches_in_process(self, tmp_path, capsys, k3_edges):
+        """The K3 gap scan is over the profile cap, so that step checks the error path."""
+        src = str(Path(provergames.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        k3, nexp = tmp_path / "k3.game", tmp_path / "nexp.game"
+        steps = [
+            (("build", "three-coloring", k3_edges), 0, k3),
+            (("validate", k3), 0, None),
+            (("find-dominant", k3), 0, None),
+            (("check-gap", k3, "--alpha", "2"), 2, None),
+            (("build", "nexp", "--fixed-soundness", "1/3"), 0, nexp),
+            (("check-gap", nexp, "--alpha", "3"), 0, None),
+        ]
+        for argv, code, save in steps:
+            argv = [str(a) for a in argv]
+            shell = subprocess.run(
+                [sys.executable, "-m", "provergames.cli", *argv],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                timeout=120,
+            )
+            assert (shell.returncode, shell.stdout, shell.stderr) == run(capsys, *argv)
+            assert shell.returncode == code
+            assert bool(shell.stdout) == (code != 2) and ("error:" in shell.stderr) == (code == 2)
+            if save:
+                save.write_text(shell.stdout)

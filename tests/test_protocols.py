@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 from fractions import Fraction as F
 
@@ -11,11 +12,14 @@ from provergames.errors import GameError
 from provergames.gaps import answer_bit_distribution
 from provergames.protocols import (
     MripSpec,
+    OracleScript,
     build_mrip_simulation,
     build_nexp_protocol,
+    build_pnexp_protocol,
     build_three_coloring,
     fixed_soundness_mip,
     honest_strategy,
+    mips_from_doc,
     parse_dimacs,
     toy_clause_variable_mip,
 )
@@ -29,6 +33,8 @@ from provergames.trees import (
     utility_vector,
     validate_game,
 )
+
+from test_cli import PNEXP_SCRIPT
 
 
 class TestThreeColoring:
@@ -213,6 +219,52 @@ class TestMripSimulation:
         payments = {(("0",),): F(0), (("1",),): F(0)}
         with pytest.raises(GameError):
             build_mrip_simulation(MripSpec(1, 1, ("0", "1"), payments))
+
+
+class TestMipSubtreeGolden:
+    """sha256 of the game document and of the honest strategy document, recorded
+    before the nexp and pnexp builders shared one MIP subtree helper."""
+
+    BUILDS = {
+        "nexp-fixed-2/3": (
+            lambda: build_nexp_protocol(fixed_soundness_mip(2, 3)),
+            "86804ca0ce39b515b343cbd035aa21385dbc4c94d98026d24286b3ebf2cc757f",
+            "6f3fd50fcd30b6315e0f8b27ba0d28975b9d2c5b168146a856897eae83d3687c",
+        ),
+        "nexp-clause-sat": (
+            lambda: build_nexp_protocol(toy_clause_variable_mip(((1, 2),), 2)),
+            "a53035d69f449d54257277c30b46f0c16cbb5a9d4405ca1c6c63c529e5ff2360",
+            "448cd0eaec6aaacf7c8e835b3e7c697f93d46b98c631f36059da7683829c925d",
+        ),
+        "nexp-clause-sat-r2": (
+            lambda: build_nexp_protocol(toy_clause_variable_mip(((1, 2), (-1, 2)), 2, 2)),
+            "ce0fdc2418fd2b48426105317d945eb5d97aa843f4559f43a32cb5891270ebc2",
+            "9fafebe7f80d83a8eaf58b8efddf70af0811d43113d3c9e36bd72d72d0deb62a",
+        ),
+        "nexp-clause-unsat": (
+            lambda: build_nexp_protocol(toy_clause_variable_mip(((1,), (-1,)), 1)),
+            "5749c6b080df8dec820ae25a79b736feb797b7bf5cf5cf0c0dc3c58daa28f240",
+            "f2c53d74352f307fbd4bbbe8eb16c4c20f3eb1ebc44d78db595fc6334fa1cbcb",
+        ),
+        "pnexp-script": (
+            lambda: build_pnexp_protocol(
+                OracleScript.from_doc(PNEXP_SCRIPT), mips_from_doc(PNEXP_SCRIPT)
+            ),
+            "95db0e15a306b542fc5c4800ef04456ef7ac97a7bcb81bed75f599a0fc17fc92",
+            "2b10e8adc1a790dcc8f443139bc570d8996b1416374c6eb2043059053cd6a31d",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDS))
+    def test_documents_unchanged(self, name):
+        build, game_sha, honest_sha = self.BUILDS[name]
+        b = build()
+
+        def sha(doc):
+            return hashlib.sha256(gamefile.dumps(doc).encode()).hexdigest()
+
+        assert sha(gamefile.game_to_doc(b.game)) == game_sha
+        assert sha(gamefile.strategy_to_doc(b.honest)) == honest_sha
 
 
 class TestBuilderInvariants:
