@@ -31,11 +31,21 @@ GAME_FORMAT = "game/1"
 STRATEGY_FORMAT = "strategy/1"
 
 
-def _rat(text: Any, where: str) -> Fraction:
-    try:
-        return rational(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise GameFileError(f"{where}: bad rational {text!r} ({exc})")
+def _rats(items: list, where: str, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
+    """`items` as rationals. `parsed` maps each string already read to its value, so
+    a repeated string is parsed once; a failure is never kept, it raises here."""
+    out = []
+    for text in items:
+        value = parsed.get(text) if type(text) is str else None
+        if value is None:
+            try:
+                value = rational(text)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise GameFileError(f"{where}: bad rational {text!r} ({exc})")
+            if type(text) is str:
+                parsed[text] = value
+        out.append(value)
+    return tuple(out)
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -56,16 +66,24 @@ def _field(record: dict, name: str, where: str, kind: type) -> Any:
 
 def _labels(record: dict, name: str, where: str) -> tuple[str, ...]:
     items = _field(record, name, where, list)
-    return tuple(_typed(x, str, f"{where}.{name}[{i}]") for i, x in enumerate(items))
+    if not all(type(x) is str for x in items):
+        for i, x in enumerate(items):
+            _typed(x, str, f"{where}.{name}[{i}]")
+    return tuple(items)
 
 
 def game_to_doc(game: GameTree, beliefs: BeliefSystem | None = None) -> dict:
+    texts: dict[int, str] = {}  # by id: the arguments keep every rational alive
+
+    def strs(values: tuple) -> list[str]:
+        return [texts.get(id(r)) or texts.setdefault(id(r), str(r)) for r in values]
+
     nodes: dict[str, dict] = {}
     for h in sorted(game.nodes):
         node = game.nodes[h]
         if isinstance(node, TerminalNode):
             nodes[path_of(h)] = {
-                "payments": [str(r) for r in node.payments],
+                "payments": strs(node.payments),
                 "answer_bit": node.answer_bit,
             }
         else:
@@ -74,7 +92,7 @@ def game_to_doc(game: GameTree, beliefs: BeliefSystem | None = None) -> dict:
                 "actions": list(node.actions),
             }
             if node.dist is not None:
-                record["dist"] = [str(p) for p in node.dist]
+                record["dist"] = strs(node.dist)
             nodes[path_of(h)] = record
     doc: dict[str, Any] = {
         "format": GAME_FORMAT,
@@ -91,7 +109,7 @@ def game_to_doc(game: GameTree, beliefs: BeliefSystem | None = None) -> dict:
     }
     if beliefs is not None:
         doc["beliefs"] = {
-            key: [str(p) for p in probs] for key, probs in beliefs.distributions
+            key: strs(probs) for key, probs in beliefs.distributions
         }
     if game.meta:
         doc["meta"] = _plain(game.meta)
@@ -123,17 +141,18 @@ def game_from_doc(doc: Any) -> tuple[GameTree, BeliefSystem | None]:
     raw_nodes = _field(doc, "nodes", "", dict)
     raw_sets = _field(doc, "info_sets", "", list)
     nodes: dict[History, Node] = {}
+    parsed: dict[str, Fraction] = {}
     for path, record in raw_nodes.items():
         where = f"nodes[{path!r}]"
         record = _typed(record, dict, where)
         if "payments" in record:
-            payments = tuple(_rat(r, where) for r in _field(record, "payments", where, list))
+            payments = _rats(_field(record, "payments", where, list), where, parsed)
             answer_bit = _typed(record.get("answer_bit", 0), int, f"{where}.answer_bit")
             nodes[history_from_path(path)] = TerminalNode(payments, answer_bit)
         else:
             dist = None
             if record.get("dist") is not None:
-                dist = tuple(_rat(p, where) for p in _field(record, "dist", where, list))
+                dist = _rats(_field(record, "dist", where, list), where, parsed)
             nodes[history_from_path(path)] = DecisionNode(
                 _field(record, "player", where, int), _labels(record, "actions", where), dist
             )
@@ -156,7 +175,7 @@ def game_from_doc(doc: Any) -> tuple[GameTree, BeliefSystem | None]:
         dists = {}
         for key, probs in _field(doc, "beliefs", "", dict).items():
             where = f"beliefs[{key!r}]"
-            dists[key] = tuple(_rat(p, where) for p in _typed(probs, list, where))
+            dists[key] = _rats(_typed(probs, list, where), where, parsed)
         beliefs = BeliefSystem.from_dict(dists)
     return game, beliefs
 
@@ -178,7 +197,10 @@ def strategy_from_doc(doc: Any) -> StrategyProfile:
 
 
 def dumps(doc: Any) -> str:
-    return json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text of `doc` in one walk: `_plain` converts only the leaves
+    JSON cannot encode (rationals, dataclasses). Keys must be strings, as in every
+    document this package builds; `json` would sort and render others its own way."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
 def loads(text: str) -> Any:

@@ -697,6 +697,10 @@ class MripSpec:
                 raise GameError(f"payment {r} outside [0,1]")
             if best is None or r > best:
                 best = r
+        extra = sorted(set(self.payments) - set(itertools.product(*space)))
+        if extra:
+            key = "payments." + ";".join("+".join(per) for per in extra[0])
+            raise GameError(f"key {key!r} names no transcript")
         if best is None or best <= 0:
             raise GameError("optimum payment must be strictly positive")
 

@@ -193,15 +193,10 @@ class ValidationReport:
         return self.ok
 
 
-def _check_label(label: str, where: str, out: list[Violation]) -> None:
-    if not label or any(c in label for c in RESERVED_LABEL_CHARS):
-        out.append(
-            Violation(
-                "bad-label",
-                where,
-                f"action label {label!r} is empty or contains a reserved character",
-            )
-        )
+def _sum_over_lcm(values: tuple[Fraction, ...]) -> tuple[int, int]:
+    """`sum(values)` as (n, m) with the sum equal to n/m, m the lcm of the denominators."""
+    m = math.lcm(*[v.denominator for v in values])
+    return sum([v.numerator * (m // v.denominator) for v in values]), m
 
 
 def validate_game(game: GameTree) -> ValidationReport:
@@ -213,74 +208,64 @@ def validate_game(game: GameTree) -> ValidationReport:
         out.append(Violation("no-root", "", "root history missing"))
         return ValidationReport(tuple(out))
 
-    for h in sorted(game.nodes):
+    # Rationals are checked on numerators and denominators (positive), not compared
+    # as Fractions; a node's (code, message) pairs get its path only if there are any.
+    histories = sorted(game.nodes)
+    for h in histories:
         node = game.nodes[h]
-        where = path_of(h)
+        found: list[tuple[str, str]] = []
         if h:
             parent = game.nodes.get(h[:-1])
             if parent is None:
-                out.append(Violation("orphan", where, "parent history missing"))
+                out.append(Violation("orphan", path_of(h), "parent history missing"))
                 continue
             if not isinstance(parent, DecisionNode) or h[-1] not in parent.actions:
-                out.append(
-                    Violation("bad-parent", where, "not reachable by a parent action")
-                )
+                found.append(("bad-parent", "not reachable by a parent action"))
         if isinstance(node, DecisionNode):
             if not node.actions:
-                out.append(Violation("no-actions", where, "decision node with no actions"))
+                found.append(("no-actions", "decision node with no actions"))
             for a in node.actions:
-                _check_label(a, where, out)
+                if not a or any(c in a for c in RESERVED_LABEL_CHARS):
+                    message = f"action label {a!r} is empty or contains a reserved character"
+                    found.append(("bad-label", message))
                 if h + (a,) not in game.nodes:
-                    out.append(
-                        Violation("missing-child", where, f"child for action {a!r} missing")
-                    )
+                    found.append(("missing-child", f"child for action {a!r} missing"))
             if len(set(node.actions)) != len(node.actions):
-                out.append(Violation("dup-action", where, "duplicate action labels"))
+                found.append(("dup-action", "duplicate action labels"))
             if node.player == NATURE:
                 if node.dist is None:
-                    out.append(Violation("nature-dist-missing", where, "no distribution"))
+                    found.append(("nature-dist-missing", "no distribution"))
                 else:
                     if len(node.dist) != len(node.actions):
-                        out.append(
-                            Violation("nature-dist-length", where, "distribution length mismatch")
-                        )
-                    if any(p < 0 for p in node.dist):
-                        out.append(
-                            Violation("nature-dist-negative", where, "negative probability")
-                        )
-                    total = sum(node.dist, Fraction(0))
-                    if total != 1:
-                        out.append(
-                            Violation(
-                                "nature-dist-sum",
-                                where,
-                                f"nature distribution sums to {total}",
-                            )
+                        found.append(("nature-dist-length", "distribution length mismatch"))
+                    if any(p.numerator < 0 for p in node.dist):
+                        found.append(("nature-dist-negative", "negative probability"))
+                    n, m = _sum_over_lcm(node.dist)
+                    if n != m:
+                        found.append(
+                            ("nature-dist-sum", f"nature distribution sums to {Fraction(n, m)}")
                         )
             else:
                 if not (1 <= node.player <= game.provers):
-                    out.append(
-                        Violation("bad-prover", where, f"player {node.player} out of range")
-                    )
+                    found.append(("bad-prover", f"player {node.player} out of range"))
                 if node.dist is not None:
-                    out.append(Violation("dist-on-prover", where, "prover node has a distribution"))
+                    found.append(("dist-on-prover", "prover node has a distribution"))
         else:
             if len(node.payments) != game.provers:
-                out.append(Violation("payment-length", where, "payment vector length mismatch"))
+                found.append(("payment-length", "payment vector length mismatch"))
             for j, r in enumerate(node.payments, start=1):
-                if not (-1 <= r <= 1):
-                    out.append(
-                        Violation(
-                            "payment-range", where, f"payment {r} to prover {j} outside [-1,1]"
-                        )
-                    )
-            total = sum(node.payments, Fraction(0))
-            if not (-1 <= total <= 1):
-                out.append(
-                    Violation("total-range", where, f"total payment {total} outside [-1,1]")
+                if not (-r.denominator <= r.numerator <= r.denominator):
+                    found.append(("payment-range", f"payment {r} to prover {j} outside [-1,1]"))
+            n, m = _sum_over_lcm(node.payments)
+            if not (-m <= n <= m):
+                found.append(
+                    ("total-range", f"total payment {Fraction(n, m)} outside [-1,1]")
                 )
             if node.answer_bit not in (0, 1):
-                out.append(Violation("bad-answer-bit", where, f"answer bit {node.answer_bit}"))
+                found.append(("bad-answer-bit", f"answer bit {node.answer_bit}"))
+        if found:
+            where = path_of(h)
+            out.extend(Violation(code, where, message) for code, message in found)
 
     # Information partition: every prover decision history in exactly one set,
     # member action lists identical to the node's.
@@ -296,39 +281,22 @@ def validate_game(game: GameTree) -> ValidationReport:
             out.append(Violation("unsorted-members", key, "members not in canonical order"))
         for h in iset.members:
             if h in seen:
-                out.append(
-                    Violation("set-overlap", key, f"history {path_of(h)!r} in two sets")
-                )
+                out.append(Violation("set-overlap", key, f"history {path_of(h)!r} in two sets"))
             seen[h] = key
             node = game.nodes.get(h)
             if node is None:
                 out.append(Violation("set-member-missing", key, f"member {path_of(h)!r} missing"))
             elif not (isinstance(node, DecisionNode) and node.player == iset.owner):
-                out.append(
-                    Violation(
-                        "set-member-mismatch",
-                        key,
-                        f"member {path_of(h)!r} is not a decision node of prover {iset.owner}",
-                    )
-                )
+                message = f"member {path_of(h)!r} is not a decision node of prover {iset.owner}"
+                out.append(Violation("set-member-mismatch", key, message))
             elif node.actions != iset.actions:
-                out.append(
-                    Violation(
-                        "set-action-mismatch",
-                        key,
-                        f"member {path_of(h)!r} has different available actions",
-                    )
-                )
-    for h in sorted(game.nodes):
+                message = f"member {path_of(h)!r} has different available actions"
+                out.append(Violation("set-action-mismatch", key, message))
+    for h in histories:
         node = game.nodes[h]
         if isinstance(node, DecisionNode) and node.player != NATURE and h not in seen:
-            out.append(
-                Violation(
-                    "unpartitioned-history",
-                    path_of(h),
-                    "prover decision history belongs to no information set",
-                )
-            )
+            message = "prover decision history belongs to no information set"
+            out.append(Violation("unpartitioned-history", path_of(h), message))
     return ValidationReport(tuple(out))
 
 

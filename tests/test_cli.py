@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,12 @@ PNEXP_SCRIPT = {
         "qb": {"kind": "fixed", "accepting": 1, "total": 3},
         "qc": {"kind": "fixed", "accepting": 2, "total": 2},
     },
+}
+MRIP_SPEC = {
+    "provers": 2,
+    "rounds": 1,
+    "alphabet": ["0", "1"],
+    "payments": {"0;0": "1/4", "0;1": "1/2", "1;0": "3/4", "1;1": "1/8"},
 }
 
 
@@ -152,21 +159,7 @@ class TestInstanceFiles:
 
     def test_build_mrip_from_spec(self, tmp_path, capsys):
         spec = tmp_path / "mrip.json"
-        spec.write_text(
-            json.dumps(
-                {
-                    "provers": 2,
-                    "rounds": 1,
-                    "alphabet": ["0", "1"],
-                    "payments": {
-                        "0;0": "1/4",
-                        "0;1": "1/2",
-                        "1;0": "3/4",
-                        "1;1": "1/8",
-                    },
-                }
-            )
-        )
+        spec.write_text(json.dumps(MRIP_SPEC))
         game = tmp_path / "mrip.game"
         honest = tmp_path / "mrip.honest"
         code, _, _ = run(
@@ -212,6 +205,11 @@ class TestSpecDocuments:
                 "mrip",
                 {"provers": 1, "rounds": 1, "alphabet": ["0"], "payments": {"0": 0.5}},
                 "payments.0",
+            ),
+            (
+                "mrip",
+                {**MRIP_SPEC, "payments": {**MRIP_SPEC["payments"], "zz;9": "1"}},
+                "'payments.zz;9' names no transcript",
             ),
         ],
     )
@@ -445,3 +443,156 @@ class TestShell:
             assert bool(shell.stdout) == (code != 2) and ("error:" in shell.stderr) == (code == 2)
             if save:
                 save.write_text(shell.stdout)
+
+
+# Values that must be refused where a field of the named kind is expected.
+JUNK = {
+    "int": [True, False, 1.5, "1", None, [1], {}],
+    "list": [{}, 3, "x", True, 1.5, None],
+    "object": [[], 3, "x", True, 1.5, None],
+    "label": [1, True, None, 1.5, ["x"], {}],
+    "rational": [True, 1.5, "1/0", None, [], {}, "one", "1/2/3"],
+}
+FUZZ_GAME = {
+    "format": "game/1",
+    "provers": 2,
+    "nodes": {
+        "": {"player": 0, "actions": ["h", "t"], "dist": ["1/3", "2/3"]},
+        "h": {"player": 1, "actions": ["x", "y"]},
+        "t": {"player": 1, "actions": ["x", "y"]},
+        "h/x": {"payments": ["1/2", "0"], "answer_bit": 1},
+        "h/y": {"payments": ["0", "1/3"], "answer_bit": 0},
+        "t/x": {"payments": ["1/2", "-1/4"], "answer_bit": 1},
+        "t/y": {"payments": ["0", "0"], "answer_bit": 0},
+    },
+    "info_sets": [{"owner": 1, "members": ["h", "t"], "actions": ["x", "y"]}],
+    "beliefs": {"h|t": ["1/3", "2/3"]},
+    "meta": {"correct_bit": 1},
+}
+FUZZ_STRATEGY = {"format": "strategy/1", "choices": {"h|t": "x"}}
+# (path, kind of the value there, whether dropping the key must be refused too).
+# An absent or null `dist` or `meta` is legal, so null is no junk there.
+FUZZ_FIELDS = {
+    "game": [
+        (("format",), "label", True),
+        (("provers",), "int", True),
+        (("nodes",), "object", True),
+        (("nodes", "h"), "object", False),
+        (("nodes", "", "player"), "int", True),
+        (("nodes", "", "actions"), "list", True),
+        (("nodes", "", "actions", 0), "label", False),
+        (("nodes", "", "dist"), "list", False),
+        (("nodes", "", "dist", 1), "rational", False),
+        (("nodes", "h", "player"), "int", True),
+        (("nodes", "t", "actions", 1), "label", False),
+        (("nodes", "h/x", "payments"), "list", True),
+        (("nodes", "t/x", "payments", 1), "rational", False),
+        (("nodes", "t/y", "answer_bit"), "int", False),
+        (("info_sets",), "list", True),
+        (("info_sets", 0), "object", False),
+        (("info_sets", 0, "owner"), "int", True),
+        (("info_sets", 0, "members"), "list", True),
+        (("info_sets", 0, "members", 1), "label", False),
+        (("info_sets", 0, "actions"), "list", True),
+        (("beliefs",), "object", False),
+        (("beliefs", "h|t"), "list", False),
+        (("beliefs", "h|t", 0), "rational", False),
+        (("meta",), "object", False),
+    ],
+    "strategy": [
+        (("format",), "label", True),
+        (("choices",), "object", True),
+        (("choices", "h|t"), "label", True),
+    ],
+    "mrip": [
+        (("provers",), "int", True),
+        (("rounds",), "int", True),
+        (("alphabet",), "list", True),
+        (("alphabet", 1), "label", False),
+        (("payments",), "object", True),
+        (("payments", "1;0"), "rational", True),
+    ],
+    "pnexp": [
+        (("first",), "label", True),
+        (("next",), "object", False),
+        (("next", "qa,1"), "label", False),
+        (("output",), "object", True),
+        (("output", "01"), "int", True),
+        (("num_queries",), "int", True),
+        (("mips",), "object", True),
+        (("mips", "qb"), "object", True),
+        (("mips", "qb", "kind"), "label", True),
+        (("mips", "qc", "total"), "int", True),
+    ],
+}
+
+
+def mutated(rng, kind: str):
+    """A copy of the `kind` document with one or two faults an input check must
+    refuse, and whether all of them are file-level (a dangling member is not)."""
+    base = {"game": FUZZ_GAME, "strategy": FUZZ_STRATEGY, "mrip": MRIP_SPEC,
+            "pnexp": PNEXP_SCRIPT}[kind]
+    doc = json.loads(json.dumps(base))
+    file_level = True
+    for step in range(rng.randint(1, 2)):
+        op = rng.random() if step == 0 else 1.0  # whole-document faults come first
+        if kind == "game" and op < 0.1:
+            doc = rng.choice([[], "game", 3, None])
+            break
+        if kind == "game" and op < 0.2:  # the same bad rational at two nodes
+            doc["nodes"]["h/y"] = {"payments": ["0", "1/0"], "answer_bit": 0}
+            doc["nodes"]["t/y"] = {"payments": ["1/0", "0"], "answer_bit": 0}
+            continue
+        if kind == "game" and op < 0.3:
+            doc["info_sets"][0]["members"] = ["h", "zz/q"]
+            file_level = False
+            continue
+        if kind == "strategy" and op < 0.2:
+            doc["choices"] = rng.choice([{"h|t": "x", "zz": "x"}, {}, {"h|t": "q"}])
+            continue
+        if kind == "mrip" and op < 0.2:
+            doc["payments"]["zz;9"] = "1"
+            continue
+        path, field, required = rng.choice(FUZZ_FIELDS[kind])
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier fault already replaced the field's container
+        junk = [v for v in JUNK[field] if v is not None or path[-1] not in ("dist", "meta")]
+        if required and rng.random() < 0.3:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = rng.choice(junk)
+    return doc, file_level
+
+
+class TestMutationFuzz:
+    """Seeded faulty game, strategy and spec documents: each is refused with exit 2
+    and one `error:` line, never a traceback (which would exit 1, a false verdict)."""
+
+    @pytest.mark.parametrize("kind", ["game", "strategy", "mrip", "pnexp"])
+    def test_refused_with_exit_two(self, tmp_path, capsys, kind):
+        rng = random.Random(f"mutation-fuzz:{kind}")
+        game, strategy = tmp_path / "base.game", tmp_path / "base.strategy"
+        game.write_text(json.dumps(FUZZ_GAME))
+        strategy.write_text(json.dumps(FUZZ_STRATEGY))
+        assert run(capsys, "check-sse", game, strategy)[0] in (0, 1)
+        faulty = tmp_path / "faulty.json"
+        for _ in range(60 if kind == "game" else 40):
+            doc, file_level = mutated(rng, kind)
+            faulty.write_text(json.dumps(doc))
+            if kind == "game":
+                commands = [("check-sse", faulty, strategy)]
+                if file_level:
+                    commands.append(("validate", faulty))
+            elif kind == "strategy":
+                commands = [("check-sse", game, faulty)]
+            else:
+                commands = [("build", kind, faulty, "--out", tmp_path / "built.game")]
+            for argv in commands:
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, ""), (argv[0], doc, err)
+                assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -27,7 +27,8 @@ from provergames.trees import (
     validate_game,
 )
 
-from randgames import random_game, random_profile, random_root_lottery_game
+import test_protocols
+from randgames import corpus_games, random_game, random_profile, random_root_lottery_game
 
 
 class TestGameRoundTrip:
@@ -110,6 +111,26 @@ class TestDiagnostics:
     def test_unknown_format(self):
         with pytest.raises(GameFileError, match="unsupported format"):
             gamefile.game_from_doc({"format": "game/999"})
+
+    def test_repeated_bad_rational_names_its_first_node(self):
+        doc = {
+            "format": "game/1",
+            "provers": 1,
+            "nodes": {
+                "": {"player": 1, "actions": ["x", "y"]},
+                "x": {"payments": ["1/0"], "answer_bit": 0},
+                "y": {"payments": ["1/0"], "answer_bit": 0},
+            },
+            "info_sets": [{"owner": 1, "members": [""], "actions": ["x", "y"]}],
+        }
+        with pytest.raises(GameFileError, match=re.escape("nodes['x']: bad rational '1/0'")):
+            gamefile.game_from_doc(doc)
+        doc["nodes"]["x"]["payments"] = ["1/2"]
+        with pytest.raises(GameFileError, match=re.escape("nodes['y']: bad rational '1/0'")):
+            gamefile.game_from_doc(doc)
+        doc["nodes"]["y"]["payments"] = ["1/2"]
+        game, _ = gamefile.game_from_doc(doc)
+        assert game.nodes[("y",)].payments == (F(1, 2),)
 
 
 def reference_doc_value(value):
@@ -196,3 +217,66 @@ class TestReportDocuments:
         assert doc["format"] == "report/gap/1"
         assert doc["measured_gap"] == str(report.measured_gap)
         assert doc["worst"]["max_loss"] == str(report.worst.max_loss)
+
+
+def reference_dumps(doc):
+    """`dumps` as it was: `_plain` over the whole document, then `json.dumps`."""
+    return json.dumps(gamefile._plain(doc), sort_keys=True, indent=2) + "\n"
+
+
+def golden_and_corpus_games():
+    for build, _, _ in test_protocols.TestMipSubtreeGolden.BUILDS.values():
+        yield build().game
+    for game, _ in corpus_games(60):
+        yield game
+
+
+class TestOneWalkDumps:
+    def test_load_dump_round_trip_is_byte_identical(self, mini_coloring):
+        mu, _ = limit_beliefs(mini_coloring.game, mini_coloring.honest)
+        texts = [gamefile.dumps(gamefile.game_to_doc(mini_coloring.game, mu))]
+        texts += [gamefile.dumps(gamefile.game_to_doc(g)) for g in golden_and_corpus_games()]
+        for text in texts:
+            game, beliefs = gamefile.game_from_doc(gamefile.loads(text))
+            assert gamefile.dumps(gamefile.game_to_doc(game, beliefs)) == text
+
+    def test_equals_the_two_walk_form(self, k3, nexp_unsat_third):
+        docs = [gamefile.game_to_doc(g) for g in golden_and_corpus_games()]
+        docs += [gamefile.strategy_to_doc(k3.honest), gamefile.strategy_to_doc(StrategyProfile(()))]
+        docs += [
+            gamefile.report_doc(kind, payload)
+            for kind, payload in report_payloads(k3, nexp_unsat_third)
+        ]
+        for doc in docs:
+            assert gamefile.dumps(doc) == reference_dumps(doc)
+
+    def test_leaves_json_cannot_encode(self, nexp_unsat_third):
+        game = nexp_unsat_third.game
+        report = verify_utility_gap(game, find_dominant_sse(game), F(3), 0)
+        doc = {"report": report, "rationals": (F(1, 3), [F(-2)]), "flag": True, "none": None}
+        assert gamefile.dumps(doc) == reference_dumps(doc)
+
+
+class TestWorkCounters:
+    def test_k4_load_parses_each_distinct_rational_once(self, k4, monkeypatch):
+        doc = gamefile.loads(gamefile.dumps(gamefile.game_to_doc(k4.game)))
+        fields = [
+            r for record in doc["nodes"].values()
+            for r in record.get("payments", []) + record.get("dist", [])
+        ]
+        assert len(fields) > 1000 and len(set(fields)) == 3
+        calls = []
+        real = gamefile.rational
+        monkeypatch.setattr(gamefile, "rational", lambda text: calls.append(text) or real(text))
+        game, _ = gamefile.game_from_doc(doc)
+        assert sorted(calls) == sorted(set(fields))
+        assert dict(game.nodes) == dict(k4.game.nodes)
+
+    def test_dumping_built_documents_never_calls_plain(self, k4, monkeypatch):
+        docs = [gamefile.game_to_doc(k4.game), gamefile.strategy_to_doc(k4.honest)]
+        calls = []
+        real = gamefile._plain
+        monkeypatch.setattr(gamefile, "_plain", lambda value: calls.append(value) or real(value))
+        for doc in docs:
+            gamefile.dumps(doc)
+        assert calls == []

@@ -9,17 +9,22 @@ from provergames.errors import BeliefError, ProfileError, UnknownHistoryError
 from provergames.pruning import prune_nature
 from provergames.trees import (
     NATURE,
+    RESERVED_LABEL_CHARS,
     DecisionNode,
     GameTree,
+    History,
     InformationSet,
     StrategyProfile,
     TerminalNode,
+    ValidationReport,
+    Violation,
     _IntCore,
     check_perfect_recall,
     conditional_utility,
     continuation_values,
     expected_utility,
     make_game,
+    path_of,
     rational,
     reach_map,
     reach_probability,
@@ -27,7 +32,13 @@ from provergames.trees import (
     validate_game,
 )
 
-from randgames import random_game, random_profile
+from randgames import (
+    corpus_games,
+    random_game,
+    random_pi_game,
+    random_profile,
+    random_root_lottery_game,
+)
 
 
 def coin_game(p=F(1, 2)):
@@ -312,3 +323,244 @@ class TestInvariants:
 
     def test_utility_vector(self, k3):
         assert utility_vector(k3.game, k3.honest) == (F(1, 2), F(1, 4))
+
+
+def _reference_check_label(label: str, where: str, out: list[Violation]) -> None:
+    if not label or any(c in label for c in RESERVED_LABEL_CHARS):
+        out.append(
+            Violation(
+                "bad-label",
+                where,
+                f"action label {label!r} is empty or contains a reserved character",
+            )
+        )
+
+
+def reference_validate_game(game: GameTree) -> ValidationReport:
+    """`validate_game` as it was before it checked rationals on integers: Fraction
+    comparisons and sums, nodes sorted twice. Kept as the oracle."""
+    out: list[Violation] = []
+    if game.provers < 1:
+        out.append(Violation("bad-provers", "", f"prover count {game.provers} < 1"))
+    if () not in game.nodes:
+        out.append(Violation("no-root", "", "root history missing"))
+        return ValidationReport(tuple(out))
+
+    for h in sorted(game.nodes):
+        node = game.nodes[h]
+        where = path_of(h)
+        if h:
+            parent = game.nodes.get(h[:-1])
+            if parent is None:
+                out.append(Violation("orphan", where, "parent history missing"))
+                continue
+            if not isinstance(parent, DecisionNode) or h[-1] not in parent.actions:
+                out.append(
+                    Violation("bad-parent", where, "not reachable by a parent action")
+                )
+        if isinstance(node, DecisionNode):
+            if not node.actions:
+                out.append(Violation("no-actions", where, "decision node with no actions"))
+            for a in node.actions:
+                _reference_check_label(a, where, out)
+                if h + (a,) not in game.nodes:
+                    out.append(
+                        Violation("missing-child", where, f"child for action {a!r} missing")
+                    )
+            if len(set(node.actions)) != len(node.actions):
+                out.append(Violation("dup-action", where, "duplicate action labels"))
+            if node.player == NATURE:
+                if node.dist is None:
+                    out.append(Violation("nature-dist-missing", where, "no distribution"))
+                else:
+                    if len(node.dist) != len(node.actions):
+                        out.append(
+                            Violation("nature-dist-length", where, "distribution length mismatch")
+                        )
+                    if any(p < 0 for p in node.dist):
+                        out.append(
+                            Violation("nature-dist-negative", where, "negative probability")
+                        )
+                    total = sum(node.dist, F(0))
+                    if total != 1:
+                        out.append(
+                            Violation(
+                                "nature-dist-sum",
+                                where,
+                                f"nature distribution sums to {total}",
+                            )
+                        )
+            else:
+                if not (1 <= node.player <= game.provers):
+                    out.append(
+                        Violation("bad-prover", where, f"player {node.player} out of range")
+                    )
+                if node.dist is not None:
+                    out.append(Violation("dist-on-prover", where, "prover node has a distribution"))
+        else:
+            if len(node.payments) != game.provers:
+                out.append(Violation("payment-length", where, "payment vector length mismatch"))
+            for j, r in enumerate(node.payments, start=1):
+                if not (-1 <= r <= 1):
+                    out.append(
+                        Violation(
+                            "payment-range", where, f"payment {r} to prover {j} outside [-1,1]"
+                        )
+                    )
+            total = sum(node.payments, F(0))
+            if not (-1 <= total <= 1):
+                out.append(
+                    Violation("total-range", where, f"total payment {total} outside [-1,1]")
+                )
+            if node.answer_bit not in (0, 1):
+                out.append(Violation("bad-answer-bit", where, f"answer bit {node.answer_bit}"))
+
+    # Information partition: every prover decision history in exactly one set,
+    # member action lists identical to the node's.
+    seen: dict[History, str] = {}
+    for iset in game.info_sets:
+        key = iset.key
+        if not iset.members:
+            out.append(Violation("empty-set", key, "information set with no members"))
+            continue
+        if iset.owner == NATURE or not (1 <= iset.owner <= game.provers):
+            out.append(Violation("bad-owner", key, f"owner {iset.owner} invalid"))
+        if tuple(sorted(iset.members)) != iset.members:
+            out.append(Violation("unsorted-members", key, "members not in canonical order"))
+        for h in iset.members:
+            if h in seen:
+                out.append(
+                    Violation("set-overlap", key, f"history {path_of(h)!r} in two sets")
+                )
+            seen[h] = key
+            node = game.nodes.get(h)
+            if node is None:
+                out.append(Violation("set-member-missing", key, f"member {path_of(h)!r} missing"))
+            elif not (isinstance(node, DecisionNode) and node.player == iset.owner):
+                out.append(
+                    Violation(
+                        "set-member-mismatch",
+                        key,
+                        f"member {path_of(h)!r} is not a decision node of prover {iset.owner}",
+                    )
+                )
+            elif node.actions != iset.actions:
+                out.append(
+                    Violation(
+                        "set-action-mismatch",
+                        key,
+                        f"member {path_of(h)!r} has different available actions",
+                    )
+                )
+    for h in sorted(game.nodes):
+        node = game.nodes[h]
+        if isinstance(node, DecisionNode) and node.player != NATURE and h not in seen:
+            out.append(
+                Violation(
+                    "unpartitioned-history",
+                    path_of(h),
+                    "prover decision history belongs to no information set",
+                )
+            )
+    return ValidationReport(tuple(out))
+
+
+VALIDATION_CODES = {
+    "bad-provers", "no-root", "orphan", "bad-parent", "no-actions", "bad-label",
+    "missing-child", "dup-action", "nature-dist-missing", "nature-dist-length",
+    "nature-dist-negative", "nature-dist-sum", "bad-prover", "dist-on-prover",
+    "payment-length", "payment-range", "total-range", "bad-answer-bit", "empty-set",
+    "bad-owner", "unsorted-members", "set-overlap", "set-member-missing",
+    "set-member-mismatch", "set-action-mismatch", "unpartitioned-history",
+}
+WIDE_GRID = sorted({F(k, d) for k in range(-5, 6) for d in (1, 2, 3, 4, 6)})
+
+
+def invalid_games():
+    """Hand-built games that between them hit every violation code."""
+    yield GameTree(0, {}, ())
+    yield make_game(
+        2,
+        {
+            (): DecisionNode(NATURE, ("a", "b", "c"), (F(1, 3), F(1, 3), F(1, 2))),
+            ("a",): DecisionNode(NATURE, ("x", "y"), (F(3, 2), F(-1, 2))),
+            ("a", "x"): TerminalNode((F(3, 2), F(0)), 1),
+            ("a", "y"): TerminalNode((F(1, 2),), 2),
+            ("b",): DecisionNode(NATURE, ("x",), (F(1, 2), F(1, 2))),
+            ("b", "x"): TerminalNode((F(-1), F(-1, 2)), 0),
+            ("c",): DecisionNode(1, ("p", "q")),
+            ("c", "p"): TerminalNode((F(1, 6), F(-5, 6)), 0),
+            ("c", "p", "r"): TerminalNode((F(0), F(0)), 0),
+            ("d",): TerminalNode((F(0), F(0)), 0),
+            ("z", "w"): TerminalNode((F(0), F(0)), 0),
+        },
+    )
+    nodes = {
+        (): DecisionNode(1, ("a", "a", "b|c", "")),
+        ("a",): DecisionNode(3, ("x",), (F(1),)),
+        ("a", "x"): DecisionNode(NATURE, ("y",)),
+        ("a", "x", "y"): DecisionNode(1, ()),
+    }
+    yield GameTree(
+        1,
+        nodes,
+        (
+            InformationSet(1, (), ("a",)),
+            InformationSet(0, (("a",),), ("x",)),
+            InformationSet(1, (("q",), ()), ("a", "a", "b|c", "")),
+            InformationSet(1, ((),), ("a",)),
+        ),
+    )
+
+
+def corrupted(rng: random.Random, game: GameTree) -> GameTree:
+    """`game` with a few payments, distributions, answer bits or nodes spoiled."""
+    nodes = dict(game.nodes)
+    for _ in range(rng.randint(1, 3)):
+        h = rng.choice(sorted(nodes))
+        node = nodes[h]
+        if isinstance(node, TerminalNode):
+            k = rng.choice((game.provers,) * 3 + (1, 3))
+            pays = tuple(rng.choice(WIDE_GRID) for _ in range(k))
+            nodes[h] = TerminalNode(pays, rng.choice((0, 1, 1, 2, -1)))
+        elif node.player == NATURE:
+            k = len(node.actions) + rng.choice((0, 0, 0, 1, -1))
+            dist = tuple(rng.choice(WIDE_GRID) for _ in range(k))
+            nodes[h] = DecisionNode(NATURE, node.actions, dist)
+        elif h:
+            del nodes[h]
+    return GameTree(game.provers, nodes, game.info_sets)
+
+
+class TestValidateMatchesReference:
+    """The integer checks give the Fraction checks' reports, order and messages."""
+
+    def test_valid_corpora(self, k3, k4, nexp_unsat_third, pnexp_toy, mrip_toy):
+        games = [game for game, _ in corpus_games(300)]
+        rng = random.Random(11)
+        games += [random_root_lottery_game(rng) for _ in range(30)]
+        games += [random_pi_game(rng, zero_edges=True) for _ in range(30)]
+        games += [b.game for b in (k3, k4, nexp_unsat_third, pnexp_toy, mrip_toy)]
+        for game in games:
+            report = validate_game(game)
+            assert report.ok and report == reference_validate_game(game)
+
+    def test_corrupted_corpus(self):
+        codes = set()
+        rng = random.Random(23)
+        for game, _ in corpus_games(300):
+            bad = corrupted(rng, game)
+            report = validate_game(bad)
+            assert report == reference_validate_game(bad)
+            codes |= {v.code for v in report.violations}
+        assert {"payment-range", "total-range", "nature-dist-sum", "orphan"} <= codes
+
+    def test_every_code(self):
+        codes = set()
+        for game in invalid_games():
+            report = validate_game(game)
+            assert report == reference_validate_game(game)
+            codes |= {v.code for v in report.violations}
+        assert codes == VALIDATION_CODES
+        second = validate_game(list(invalid_games())[1])
+        assert "nature distribution sums to 7/6" in {v.message for v in second.violations}
