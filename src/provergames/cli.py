@@ -126,6 +126,10 @@ def _cmd_build(args) -> int:
         build = build_mrip_simulation(MripSpec.from_doc(doc))
     else:  # pragma: no cover - argparse restricts choices
         raise GameError(f"unknown protocol {args.protocol}")
+    if len(build.game.nodes) > args.max_nodes:
+        raise GameError(
+            f"game has {len(build.game.nodes)} nodes, over --max-nodes {args.max_nodes}"
+        )
     _write(args.out, gamefile.dumps(gamefile.game_to_doc(build.game)))
     if args.honest_out:
         _write(args.honest_out, gamefile.dumps(gamefile.strategy_to_doc(build.honest)))

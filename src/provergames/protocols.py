@@ -20,16 +20,17 @@ from .trees import (
     DecisionNode,
     GameTree,
     History,
-    InformationSet,
     Node,
     StrategyProfile,
     TerminalNode,
     group_info_sets,
+    make_game,
     rational,
 )
 
 VERTEX_CAP = 4
 QUERY_CAP = 3
+DRAW_CAP = 64  # verifier draws of a fixed-soundness blackbox
 P2_STRATEGY_CAP = 1 << 20
 
 def _get(doc: Any, key: str, kind: type, where: str = "") -> Any:
@@ -51,6 +52,26 @@ class ProtocolGame:
     honest: StrategyProfile
     scale: Fraction  # stored payments = scale * protocol dollars
     correct_bit: int
+
+
+def _finish(
+    provers: int,
+    nodes: dict[History, Node],
+    signals: Mapping[History, Any] | None,
+    honest: Mapping[History, str],
+    meta: dict[str, Any],
+    scale: Fraction,
+    correct: int,
+) -> ProtocolGame:
+    """The built protocol. Prover nodes are pooled into information sets by
+    `signals`, or each is its own set when there are none; each set's honest
+    action is `honest` at its first member."""
+    if signals is None:
+        game = make_game(provers, nodes, meta=meta)
+    else:
+        game = GameTree(provers, nodes, group_info_sets(nodes, signals), meta)
+    profile = StrategyProfile.from_dict({i.key: honest[i.members[0]] for i in game.info_sets})
+    return ProtocolGame(game, profile, scale, correct)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +114,8 @@ def fixed_soundness_mip(accepting: int, total: int) -> MipBlackbox:
     equally likely verifier draws; soundness is exactly accepting/total."""
     if not (0 <= accepting <= total) or total < 1:
         raise GameError(f"need 0 <= accepting <= total, got {accepting}/{total}")
+    if total > DRAW_CAP:
+        raise GameError(f"total {total} exceeds cap {DRAW_CAP}")
     width = len(str(total))
     outcomes = tuple(
         MipOutcome(f"q{i:0{width}d}", Fraction(1, total), "go", "go")
@@ -177,141 +200,95 @@ def toy_clause_variable_mip(
 
     single = []
     m = len(clauses)
-    for ci, clause in enumerate(clauses):
-        vars_in = sorted({abs(lit) for lit in clause})
+    clause_vars = [sorted({abs(lit) for lit in c}) for c in clauses]
+    for ci, vars_in in enumerate(clause_vars):
         for v in vars_in:
             single.append((ci, v, Fraction(1, m * len(vars_in))))
-    draws = list(itertools.product(single, repeat=repetitions))
-
-    def p1_query_of(draw) -> str:
-        return "+".join(f"c{ci + 1}" for (ci, _, _) in draw)
-
-    def p2_query_of(draw) -> str:
-        return "+".join(f"v{v}" for (_, v, _) in draw)
+    sat = next(iter(_satisfying_assignments(clauses, num_vars)), None)
 
     outcomes = []
-    for draw in draws:
+    draw_of: dict[str, tuple] = {}  # outcome label -> its draw
+    clause_symbols = [  # a clause's full assignments, one bit per variable
+        ["".join(bits) for bits in itertools.product("01", repeat=len(vs))] for vs in clause_vars
+    ]
+    p1_alpha: dict[str, tuple[str, ...]] = {}
+    p2_symbols = tuple("+".join(bits) for bits in itertools.product("01", repeat=repetitions))
+    honest1: dict[str, str] = {}
+    honest2: dict[str, str] = {}
+    for draw in itertools.product(single, repeat=repetitions):
         prob = Fraction(1)
         for (_, _, p) in draw:
             prob *= p
         label = "+".join(f"c{ci + 1}.v{v}" for (ci, v, _) in draw)
-        outcomes.append(MipOutcome(label, prob, p1_query_of(draw), p2_query_of(draw)))
-
-    clause_vars = [sorted({abs(lit) for lit in c}) for c in clauses]
-
-    def assignment_labels(ci: int) -> tuple[str, ...]:
-        k = len(clause_vars[ci])
-        return tuple("".join(str(b) for b in bits) for bits in itertools.product((0, 1), repeat=k))
-
-    p1_alpha: dict[str, tuple[str, ...]] = {}
-    for draw in draws:
-        q = p1_query_of(draw)
-        if q not in p1_alpha:
-            p1_alpha[q] = tuple(
+        q1 = "+".join(f"c{ci + 1}" for (ci, _, _) in draw)
+        q2 = "+".join(f"v{v}" for (_, v, _) in draw)
+        outcomes.append(MipOutcome(label, prob, q1, q2))
+        draw_of[label] = draw
+        if q1 not in p1_alpha:
+            p1_alpha[q1] = tuple(
                 "+".join(parts)
-                for parts in itertools.product(
-                    *(assignment_labels(ci) for (ci, _, _) in draw)
-                )
+                for parts in itertools.product(*(clause_symbols[ci] for (ci, _, _) in draw))
             )
-    p2_alpha: dict[str, tuple[str, ...]] = {}
-    for draw in draws:
-        q = p2_query_of(draw)
-        if q not in p2_alpha:
-            p2_alpha[q] = tuple(
-                "+".join(parts)
-                for parts in itertools.product(("0", "1"), repeat=repetitions)
+        if sat is not None:
+            honest1[q1] = "+".join(
+                "".join(str(sat[v]) for v in clause_vars[ci]) for (ci, _, _) in draw
             )
+            honest2[q2] = "+".join(str(sat[v]) for (_, v, _) in draw)
+    p2_alpha = {o.p2_query: p2_symbols for o in outcomes}
 
     def accepts(label: str, a1: str, a2: str) -> bool:
-        probes = label.split("+")
-        answers1 = a1.split("+")
-        answers2 = a2.split("+")
-        for probe, part1, part2 in zip(probes, answers1, answers2):
-            c_part, v_part = probe.split(".")
-            ci = int(c_part[1:]) - 1
-            v = int(v_part[1:])
+        for (ci, v, _), part1, part2 in zip(draw_of[label], a1.split("+"), a2.split("+")):
             assignment = dict(zip(clause_vars[ci], (int(b) for b in part1)))
-            if not _clause_satisfied(clauses[ci], assignment):
-                return False
-            if assignment[v] != int(part2):
+            if not _clause_satisfied(clauses[ci], assignment) or assignment[v] != int(part2):
                 return False
         return True
 
-    sat = next(iter(_satisfying_assignments(clauses, num_vars)), None)
-    params = {
-        "kind": "clause_var",
-        "clauses": [list(c) for c in clauses],
-        "num_vars": num_vars,
-        "repetitions": repetitions,
-    }
-    if sat is not None:
-        honest_p1 = {}
-        for q, alphabet in p1_alpha.items():
-            parts = []
-            for c_part in q.split("+"):
-                ci = int(c_part[1:]) - 1
-                parts.append("".join(str(sat[v]) for v in clause_vars[ci]))
-            honest_p1[q] = "+".join(parts)
-        honest_p2 = {
-            q: "+".join(str(sat[int(v_part[1:])]) for v_part in q.split("+"))
-            for q in p2_alpha
-        }
-        return MipBlackbox(
-            name=f"clause-var-sat-{len(clauses)}x{num_vars}r{repetitions}",
-            outcomes=tuple(outcomes),
-            p1_answers=tuple(sorted(p1_alpha.items())),
-            p2_answers=tuple(sorted(p2_alpha.items())),
-            accepts=accepts,
-            is_true=True,
-            soundness=None,
-            honest_p1=tuple(sorted(honest_p1.items())),
-            honest_p2=tuple(sorted(honest_p2.items())),
-            params=params,
-        )
-
-    # Unsatisfiable: exact soundness by scanning P2 strategies with a
-    # per-query best response for P1.
-    p2_queries = sorted(p2_alpha)
-    space = 1
-    for q in p2_queries:
-        space *= len(p2_alpha[q])
-    if space > P2_STRATEGY_CAP:
-        raise CapExceededError(
-            f"{space} second-prover strategies exceed cap {P2_STRATEGY_CAP}", space
-        )
-    by_p1_query: dict[str, list[MipOutcome]] = {}
-    for o in outcomes:
-        by_p1_query.setdefault(o.p1_query, []).append(o)
-    best_value: Fraction | None = None
-    best_pair: tuple[dict[str, str], dict[str, str]] | None = None
-    for combo in itertools.product(*(p2_alpha[q] for q in p2_queries)):
-        sigma2 = dict(zip(p2_queries, combo))
-        total = Fraction(0)
-        sigma1 = {}
-        for q, group in sorted(by_p1_query.items()):
-            best_a, best_p = None, None
-            for a1 in p1_alpha[q]:
-                p = sum(
-                    (o.prob for o in group if accepts(o.label, a1, sigma2[o.p2_query])),
-                    Fraction(0),
-                )
-                if best_p is None or p > best_p:
-                    best_a, best_p = a1, p
-            sigma1[q] = best_a
-            total += best_p
-        if best_value is None or total > best_value:
-            best_value, best_pair = total, (sigma1, sigma2)
+    soundness = None
+    if sat is None:
+        # Unsatisfiable: exact soundness by scanning P2 strategies with a
+        # per-query best response for P1.
+        p2_queries = sorted(p2_alpha)
+        space = len(p2_symbols) ** len(p2_queries)
+        if space > P2_STRATEGY_CAP:
+            raise CapExceededError(
+                f"{space} second-prover strategies exceed cap {P2_STRATEGY_CAP}", space
+            )
+        by_p1_query: dict[str, list[MipOutcome]] = {}
+        for o in outcomes:
+            by_p1_query.setdefault(o.p1_query, []).append(o)
+        for combo in itertools.product(p2_symbols, repeat=len(p2_queries)):
+            sigma2 = dict(zip(p2_queries, combo))
+            total = Fraction(0)
+            sigma1 = {}
+            for q, group in sorted(by_p1_query.items()):
+                best_a, best_p = None, None
+                for a1 in p1_alpha[q]:
+                    p = sum(
+                        (o.prob for o in group if accepts(o.label, a1, sigma2[o.p2_query])),
+                        Fraction(0),
+                    )
+                    if best_p is None or p > best_p:
+                        best_a, best_p = a1, p
+                sigma1[q] = best_a
+                total += best_p
+            if soundness is None or total > soundness:
+                soundness, honest1, honest2 = total, sigma1, sigma2
     return MipBlackbox(
-        name=f"clause-var-unsat-{len(clauses)}x{num_vars}r{repetitions}",
+        name=f"clause-var-{'unsat' if sat is None else 'sat'}-{m}x{num_vars}r{repetitions}",
         outcomes=tuple(outcomes),
         p1_answers=tuple(sorted(p1_alpha.items())),
         p2_answers=tuple(sorted(p2_alpha.items())),
         accepts=accepts,
-        is_true=False,
-        soundness=best_value,
-        honest_p1=tuple(sorted(best_pair[0].items())),
-        honest_p2=tuple(sorted(best_pair[1].items())),
-        params=params,
+        is_true=sat is not None,
+        soundness=soundness,
+        honest_p1=tuple(sorted(honest1.items())),
+        honest_p2=tuple(sorted(honest2.items())),
+        params={
+            "kind": "clause_var",
+            "clauses": [list(c) for c in clauses],
+            "num_vars": num_vars,
+            "repetitions": repetitions,
+        },
     )
 
 
@@ -372,61 +349,37 @@ def build_three_coloring(
         return (scale * p1_dollars, scale * p2_dollars)
 
     colorings = ["".join(c) for c in itertools.product("012", repeat=num_vertices)]
-
-    def monochromatic(coloring: str) -> list[tuple[int, int]]:
-        return [e for e in edge_list if coloring[e[0]] == coloring[e[1]]]
-
     edge_labels = [f"edge:{u}-{v}" for u, v in edge_list]
     p2_actions = ("agree",) + tuple(edge_labels)
 
+    bad_edges = {  # coloring -> its monochromatic edges
+        c: [e for (u, v), e in zip(edge_list, edge_labels) if c[u] == c[v]] for c in colorings
+    }
+    valid = [c for c in colorings if not bad_edges[c]]
+    correct = 1 if valid else 0
     nodes: dict[History, Node] = {
         (): DecisionNode(1, ("no", "yes")),
         ("no",): TerminalNode(pay(1, 1), 0),
         ("yes",): DecisionNode(1, tuple(f"col:{c}" for c in colorings)),
     }
+    honest = {(): "yes" if valid else "no", ("yes",): f"col:{(valid or colorings)[0]}"}
     for c in colorings:
         h = ("yes", f"col:{c}")
         nodes[h] = DecisionNode(2, p2_actions)
         nodes[h + ("agree",)] = TerminalNode(pay(2, 1), 1)
-        mono = set(monochromatic(c))
-        for (u, v), label in zip(edge_list, edge_labels):
-            good_catch = (u, v) in mono
-            nodes[h + (label,)] = TerminalNode(
-                pay(0, 2) if good_catch else pay(2, 0), 1
-            )
+        bad = bad_edges[c]
+        honest[h] = bad[0] if bad else "agree"
+        for e in edge_labels:
+            nodes[h + (e,)] = TerminalNode(pay(0, 2) if e in bad else pay(2, 0), 1)
 
-    valid = [c for c in colorings if not monochromatic(c)]
-    colorable = bool(valid)
     meta = {
         "protocol": "three_coloring",
         "vertices": num_vertices,
         "edges": [list(e) for e in edge_list],
         "scale": str(scale),
-        "correct_bit": 1 if colorable else 0,
+        "correct_bit": correct,
     }
-    game = GameTree(
-        2,
-        nodes,
-        tuple(
-            InformationSet(n.player, (h,), n.actions)
-            for h, n in sorted(nodes.items())
-            if isinstance(n, DecisionNode)
-        ),
-        meta,
-    )
-
-    choices = {
-        game.set_by_history[()].key: "yes" if colorable else "no",
-        game.set_by_history[("yes",)].key: f"col:{valid[0] if colorable else colorings[0]}",
-    }
-    for c in colorings:
-        h = ("yes", f"col:{c}")
-        mono = monochromatic(c)
-        choices[game.set_by_history[h].key] = (
-            "agree" if not mono else f"edge:{mono[0][0]}-{mono[0][1]}"
-        )
-    honest = StrategyProfile.from_dict(choices)
-    return ProtocolGame(game, honest, scale, 1 if colorable else 0)
+    return _finish(2, nodes, None, honest, meta, scale, correct)
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +406,19 @@ def _mip_subtree(
     nodes[h] = DecisionNode(
         NATURE, tuple(o.label for o in mip.outcomes), tuple(o.prob for o in mip.outcomes)
     )
+    alpha1, alpha2 = dict(mip.p1_answers), dict(mip.p2_answers)
     honest1, honest2 = dict(mip.honest_p1), dict(mip.honest_p2)
     for o in mip.outcomes:
         h1 = h + (o.label,)
-        nodes[h1] = DecisionNode(first, mip.p1_alphabet(o.p1_query))
+        nodes[h1] = DecisionNode(first, alpha1[o.p1_query])
         signals[h1] = tags[0] + (o.p1_query,)
         honest[h1] = honest1[o.p1_query]
-        for a1 in mip.p1_alphabet(o.p1_query):
+        for a1 in alpha1[o.p1_query]:
             h2 = h1 + (a1,)
-            nodes[h2] = DecisionNode(first + 1, mip.p2_alphabet(o.p2_query))
+            nodes[h2] = DecisionNode(first + 1, alpha2[o.p2_query])
             signals[h2] = tags[1] + (o.p2_query,)
             honest[h2] = honest2[o.p2_query]
-            for a2 in mip.p2_alphabet(o.p2_query):
+            for a2 in alpha2[o.p2_query]:
                 ok = mip.accepts(o.label, a1, a2)
                 nodes[h2 + (a2,)] = TerminalNode(payments[ok], answer_bit)
 
@@ -477,26 +431,19 @@ def build_nexp_protocol(mip: MipBlackbox) -> ProtocolGame:
     """
     scale = Fraction(1, 2)
     half, one = scale * Fraction(1, 2), scale * 1
+    correct = 1 if mip.is_true else 0
     nodes: dict[History, Node] = {
         (): DecisionNode(1, ("c=0", "c=1")),
         ("c=0",): TerminalNode((half, half), 0),
     }
     signals: dict[History, Any] = {(): ("root",)}
-    honest = {(): "c=1" if mip.is_true else "c=0"}
+    honest = {(): f"c={correct}"}
     _mip_subtree(
         nodes, signals, honest, ("c=1",), mip, 1, (("p1",), ("p2",)),
         ((-one, -one), (one, one)), 1,
     )
-    info_sets = group_info_sets(nodes, signals)
-    meta = {
-        "protocol": "nexp",
-        "mip": dict(mip.params),
-        "scale": str(scale),
-        "correct_bit": 1 if mip.is_true else 0,
-    }
-    game = GameTree(2, nodes, info_sets, meta)
-    honest_profile = StrategyProfile.from_dict({i.key: honest[i.members[0]] for i in info_sets})
-    return ProtocolGame(game, honest_profile, scale, 1 if mip.is_true else 0)
+    meta = {"protocol": "nexp", "mip": dict(mip.params), "scale": str(scale), "correct_bit": correct}
+    return _finish(2, nodes, signals, honest, meta, scale, correct)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +488,15 @@ class OracleScript:
             _get(doc, "num_queries", int),
         )
 
+    def to_doc(self) -> dict[str, Any]:
+        """The document `from_doc` parses back to this script."""
+        return {
+            "first": self.first,
+            "next": {f"{q},{b}": q2 for (q, b), q2 in sorted(self.next_query.items())},
+            "output": {"".join(map(str, bits)): out for bits, out in sorted(self.output.items())},
+            "num_queries": self.num_queries,
+        }
+
     def query_path(self, bits: Sequence[int]) -> list[str]:
         path = [self.first]
         for i in range(1, self.num_queries):
@@ -572,72 +528,56 @@ def build_pnexp_protocol(
     def p(x: Fraction | int) -> Fraction:
         return scale * Fraction(x)
 
-    nodes: dict[History, Node] = {}
-    signals: dict[History, Any] = {}
-    honest: dict[History, str] = {}
-    root_actions = []
-    for c in (0, 1):
-        for bits in itertools.product((0, 1), repeat=alpha):
-            root_actions.append(f"ans:{c};{''.join(str(b) for b in bits)}")
-    nodes[()] = DecisionNode(1, tuple(root_actions))
-    signals[()] = ("root",)
+    honest_bits = []
+    q = script.first
+    for k in range(1, alpha + 1):
+        honest_bits.append(1 if mips[q].is_true else 0)
+        if k < alpha:
+            q = script.next_query[(q, honest_bits[-1])]
+    correct = script.output[tuple(honest_bits)]
 
-    for action in root_actions:
-        c = int(action[4])
-        bits = tuple(int(b) for b in action.split(";")[1])
-        queries = script.query_path(bits)
-        out = script.output[bits]
+    def claim(c: int, bits: Sequence[int]) -> str:
+        return f"ans:{c};{''.join(map(str, bits))}"
+
+    claims = [
+        (claim(c, bits), c, bits)
+        for c in (0, 1)
+        for bits in itertools.product((0, 1), repeat=alpha)
+    ]
+    idx_labels = tuple(f"i={k}" for k in range(1, alpha + 1))
+    nodes: dict[History, Node] = {(): DecisionNode(1, tuple(a for a, _, _ in claims))}
+    signals: dict[History, Any] = {(): ("root",)}
+    honest = {(): claim(correct, honest_bits)}
+    for action, c, bits in claims:
         r: History = (action,)
-        if out != c:
+        if script.output[bits] != c:
             nodes[r] = TerminalNode((p(-1), p(0), p(0)), c)
             continue
-        idx_labels = tuple(f"i={k}" for k in range(1, alpha + 1))
-        nodes[r] = DecisionNode(
-            NATURE, idx_labels, tuple(Fraction(1, alpha) for _ in idx_labels)
-        )
-        for k in range(1, alpha + 1):
-            q = queries[k - 1]
+        nodes[r] = DecisionNode(NATURE, idx_labels, tuple(Fraction(1, alpha) for _ in idx_labels))
+        for k, (q, claimed, label) in enumerate(
+            zip(script.query_path(bits), bits, idx_labels), start=1
+        ):
             mip = mips[q]
-            claimed = bits[k - 1]
-            hq = r + (f"i={k}",)
+            hq = r + (label,)
             nodes[hq] = DecisionNode(2, ("c*=0", "c*=1"))
             signals[hq] = ("bit", k, q)
             honest[hq] = "c*=1" if mip.is_true else "c*=0"
-            r1_if = {0: p(1 if claimed == 0 else 0), 1: p(1 if claimed == 1 else 0)}
             nodes[hq + ("c*=0",)] = TerminalNode(
-                (r1_if[0], p(Fraction(1, 2)), p(Fraction(1, 2))), c
+                (p(1 - claimed), p(Fraction(1, 2)), p(Fraction(1, 2))), c
             )
             _mip_subtree(
                 nodes, signals, honest, hq + ("c*=1",), mip, 2,
                 (("mip1", k, q), ("mip2", k, q)),
-                ((r1_if[1], p(-1), p(-1)), (r1_if[1], p(1), p(1))), c,
+                ((p(claimed), p(-1), p(-1)), (p(claimed), p(1), p(1))), c,
             )
-    info_sets = group_info_sets(nodes, signals)
-    honest_bits = []
-    q = script.first
-    for k in range(1, alpha + 1):
-        b = 1 if mips[q].is_true else 0
-        honest_bits.append(b)
-        if k < alpha:
-            q = script.next_query[(q, b)]
-    correct = script.output[tuple(honest_bits)]
     meta = {
         "protocol": "pnexp",
-        "first": script.first,
-        "next": {f"{q},{b}": q2 for (q, b), q2 in sorted(script.next_query.items())},
-        "output": {
-            "".join(str(b) for b in bits): out
-            for bits, out in sorted(script.output.items())
-        },
-        "num_queries": alpha,
+        **script.to_doc(),
         "mips": {q: dict(m.params) for q, m in sorted(mips.items())},
         "scale": str(scale),
         "correct_bit": correct,
     }
-    game = GameTree(3, nodes, info_sets, meta)
-    honest[()] = f"ans:{correct};{''.join(str(b) for b in honest_bits)}"
-    honest_profile = StrategyProfile.from_dict({i.key: honest[i.members[0]] for i in info_sets})
-    return ProtocolGame(game, honest_profile, scale, correct)
+    return _finish(3, nodes, signals, honest, meta, scale, correct)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +614,18 @@ class MripSpec:
             payments[tuple(tuple(per.split("+")) for per in key.split(";"))] = payment
         return cls(provers, rounds, tuple(alphabet), payments)
 
+    def to_doc(self) -> dict[str, Any]:
+        """The document `from_doc` parses back to this spec."""
+        return {
+            "provers": self.provers,
+            "rounds": self.rounds,
+            "alphabet": list(self.alphabet),
+            "payments": {
+                ";".join("+".join(per) for per in t): str(r)
+                for t, r in sorted(self.payments.items())
+            },
+        }
+
     def validate(self) -> None:
         if not (1 <= self.provers <= 2) or not (1 <= self.rounds <= 2):
             raise GameError("spec out of desk scale (at most 2 provers, 2 rounds)")
@@ -684,24 +636,17 @@ class MripSpec:
         for sym in self.alphabet:
             if not sym or any(ch in sym for ch in "+;./|"):
                 raise GameError(f"symbol {sym!r} is empty or uses a reserved character")
-        space = [
-            tuple(itertools.product(self.alphabet, repeat=self.rounds))
-            for _ in range(self.provers)
-        ]
-        best = None
-        for transcript in itertools.product(*space):
+        for transcript in _transcripts(self):
             r = self.payments.get(transcript)
             if r is None:
                 raise GameError(f"payment missing for transcript {transcript}")
             if not (0 <= r <= 1):
                 raise GameError(f"payment {r} outside [0,1]")
-            if best is None or r > best:
-                best = r
-        extra = sorted(set(self.payments) - set(itertools.product(*space)))
+        extra = sorted(set(self.payments) - set(_transcripts(self)))
         if extra:
             key = "payments." + ";".join("+".join(per) for per in extra[0])
             raise GameError(f"key {key!r} names no transcript")
-        if best is None or best <= 0:
+        if max(self.payments.values()) <= 0:
             raise GameError("optimum payment must be strictly positive")
 
 
@@ -720,36 +665,29 @@ def build_mrip_simulation(spec: MripSpec) -> ProtocolGame:
     """
     spec.validate()
     scale = Fraction(1, 2)
-    best_transcript = None
-    best_pay = None
-    for t in _transcripts(spec):
-        r = spec.payments[t]
-        if best_pay is None or r > best_pay:
-            best_transcript, best_pay = t, r
+    pay = spec.payments.__getitem__
+    best_transcript = max(_transcripts(spec), key=pay)  # the first of the optima
+    correct = 1 if best_transcript[0][0][0] == "1" else 0
 
     def conditional_best(i: int, prefix: tuple[str, ...]) -> Transcript:
-        cands = [t for t in _transcripts(spec) if t[i][: len(prefix)] == prefix]
-        best, best_r = None, None
-        for t in cands:
-            r = spec.payments[t]
-            if best_r is None or r > best_r:
-                best, best_r = t, r
-        return best
+        return max((t for t in _transcripts(spec) if t[i][: len(prefix)] == prefix), key=pay)
 
     round1 = tuple(itertools.product(spec.alphabet, repeat=spec.provers))
     step1_actions = tuple("send:" + "+".join(combo) for combo in round1)
 
-    probes = []  # (i 0-based, j 1-based, prefix)
+    probes = []  # (i 0-based, j 1-based, prefix, prob, label, honest answer)
     for i in range(spec.provers):
         for j in range(1, spec.rounds + 1):
             for prefix in itertools.product(spec.alphabet, repeat=j - 1):
                 prob = Fraction(1, spec.provers * spec.rounds * len(spec.alphabet) ** (j - 1))
                 label = f"probe:{i + 1}.{j}" + ("." + "+".join(prefix) if prefix else "")
-                probes.append((i, j, prefix, prob, label))
+                committed = best_transcript if j == 1 else conditional_best(i, prefix)
+                probes.append((i, j, prefix, prob, label, committed[i][j - 1]))
 
     rest_space = tuple(
         itertools.product(spec.alphabet, repeat=spec.provers * (spec.rounds - 1))
     )
+    rest_actions = tuple("rest:" + "+".join(r) for r in rest_space)
 
     def transcript_of(step1: tuple[str, ...], rest: tuple[str, ...]) -> Transcript:
         per = []
@@ -766,74 +704,41 @@ def build_mrip_simulation(spec: MripSpec) -> ProtocolGame:
             return TerminalNode((Fraction(0), Fraction(0)), bit)
         if transcript[i][j - 1] != answer:
             return TerminalNode((-scale, -scale), bit)
-        return TerminalNode((Fraction(0), scale * spec.payments[transcript]), bit)
+        return TerminalNode((Fraction(0), scale * pay(transcript)), bit)
 
     nodes: dict[History, Node] = {(): DecisionNode(1, step1_actions)}
     signals: dict[History, Any] = {(): ("root",)}
+    honest = {(): "send:" + "+".join(best_transcript[i][0] for i in range(spec.provers))}
     probe_labels = tuple(pr[4] for pr in probes)
     probe_dist = tuple(pr[3] for pr in probes)
     for combo, action in zip(round1, step1_actions):
         h = (action,)
         nodes[h] = DecisionNode(NATURE, probe_labels, probe_dist)
-        for (i, j, prefix, _, label) in probes:
+        if spec.rounds == 2:
+            # Continuations must use the same tie-break as the probe answers,
+            # or the cross-check would punish the honest pair on ties.
+            rest_honest = "rest:" + "+".join(
+                conditional_best(i, (combo[i],))[i][1] for i in range(spec.provers)
+            )
+        for (i, j, prefix, _, label, answer_honest) in probes:
             hp = h + (label,)
             nodes[hp] = DecisionNode(2, spec.alphabet)
             signals[hp] = ("probe", label)
+            honest[hp] = answer_honest
             for answer in spec.alphabet:
                 ha = hp + (answer,)
                 if spec.rounds == 1:
-                    transcript = transcript_of(combo, ())
-                    nodes[ha] = outcome(transcript, i, j, prefix, answer)
-                else:
-                    rest_actions = tuple("rest:" + "+".join(r) for r in rest_space)
-                    nodes[ha] = DecisionNode(1, rest_actions)
-                    signals[ha] = ("rest", action)
-                    for rest, rest_action in zip(rest_space, rest_actions):
-                        transcript = transcript_of(combo, rest)
-                        nodes[ha + (rest_action,)] = outcome(
-                            transcript, i, j, prefix, answer
-                        )
-    info_sets = group_info_sets(nodes, signals)
-    meta = {
-        "protocol": "mrip",
-        "provers": spec.provers,
-        "rounds": spec.rounds,
-        "alphabet": list(spec.alphabet),
-        "payments": {
-            ";".join("+".join(per) for per in t): str(r)
-            for t, r in sorted(spec.payments.items())
-        },
-        "scale": str(scale),
-        "correct_bit": 1 if best_transcript[0][0][0] == "1" else 0,
-    }
-    game = GameTree(2, nodes, info_sets, meta)
-
-    choices = {
-        game.set_by_history[()].key: "send:"
-        + "+".join(best_transcript[i][0] for i in range(spec.provers))
-    }
-    for iset in info_sets:
-        sig = signals[iset.members[0]]
-        if sig[0] == "probe":
-            parts = sig[1].split(".")
-            i = int(parts[0].split(":")[1]) - 1
-            j = int(parts[1])
-            prefix = tuple(parts[2].split("+")) if len(parts) > 2 else ()
-            committed = (
-                best_transcript if j == 1 else conditional_best(i, prefix)
-            )
-            choices[iset.key] = committed[i][j - 1]
-        elif sig[0] == "rest":
-            # Continuations must use the same tie-break as the probe answers,
-            # or the cross-check would punish the honest pair on ties.
-            step1 = tuple(sig[1].split(":")[1].split("+"))
-            parts = []
-            for i in range(spec.provers):
-                parts.extend(conditional_best(i, (step1[i],))[i][1:])
-            choices[iset.key] = "rest:" + "+".join(parts)
-    honest = StrategyProfile.from_dict(choices)
-    correct = 1 if best_transcript[0][0][0] == "1" else 0
-    return ProtocolGame(game, honest, scale, correct)
+                    nodes[ha] = outcome(transcript_of(combo, ()), i, j, prefix, answer)
+                    continue
+                nodes[ha] = DecisionNode(1, rest_actions)
+                signals[ha] = ("rest", action)
+                honest[ha] = rest_honest
+                for rest, rest_action in zip(rest_space, rest_actions):
+                    nodes[ha + (rest_action,)] = outcome(
+                        transcript_of(combo, rest), i, j, prefix, answer
+                    )
+    meta = {"protocol": "mrip", **spec.to_doc(), "scale": str(scale), "correct_bit": correct}
+    return _finish(2, nodes, signals, honest, meta, scale, correct)
 
 
 def honest_strategy(game_or_build: ProtocolGame | GameTree) -> StrategyProfile:

@@ -388,6 +388,40 @@ class TestRationalFlags:
         assert not game.exists()
 
 
+class TestBuildCaps:
+    """An oversized build exits 2 before writing any file."""
+
+    def test_fixed_soundness_total_over_cap(self, tmp_path, capsys):
+        game = tmp_path / "nexp.game"
+        code, out, err = run(
+            capsys, "build", "nexp", "--fixed-soundness", "1/2000", "--out", game
+        )
+        assert (code, out) == (2, "") and err == "error: total 2000 exceeds cap 64\n"
+        assert not game.exists()
+
+    def test_pnexp_blackbox_total_over_cap(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PNEXP_SCRIPT))
+        doc["mips"]["qc"]["total"] = 1000000
+        script, game = tmp_path / "script.json", tmp_path / "pnexp.game"
+        script.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "build", "pnexp", script, "--out", game)
+        assert (code, out) == (2, "") and err == "error: total 1000000 exceeds cap 64\n"
+        assert not game.exists()
+
+    def test_max_nodes_bounds_build(self, tmp_path, capsys):
+        edges = tmp_path / "k4.edges"
+        edges.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        game, honest = tmp_path / "k4.game", tmp_path / "k4.honest"
+        code, out, err = run(
+            capsys, "build", "three-coloring", edges, "--out", game,
+            "--honest-out", honest, "--max-nodes", "100",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: game has 651 nodes, over --max-nodes 100\n"
+        assert not game.exists() and not honest.exists()
+        assert run(capsys, "build", "three-coloring", edges, "--max-nodes", "651")[0] == 0
+
+
 class TestOneParser:
     """`make_parser` is built once per process, and no call leaks into the next."""
 
@@ -419,10 +453,14 @@ class TestOneParser:
 
 class TestShell:
     def test_one_process_per_command_matches_in_process(self, tmp_path, capsys, k3_edges):
-        """The K3 gap scan is over the profile cap, so that step checks the error path."""
+        """The K3 gap scan is over the profile cap, so that step checks the error
+        path. A step with `--out` must write the same bytes in both runs."""
         src = str(Path(provergames.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         k3, nexp = tmp_path / "k3.game", tmp_path / "nexp.game"
+        script, spec = tmp_path / "script.json", tmp_path / "spec.json"
+        script.write_text(json.dumps(PNEXP_SCRIPT))
+        spec.write_text(json.dumps(MRIP_SPEC))
         steps = [
             (("build", "three-coloring", k3_edges), 0, k3),
             (("validate", k3), 0, None),
@@ -430,17 +468,26 @@ class TestShell:
             (("check-gap", k3, "--alpha", "2"), 2, None),
             (("build", "nexp", "--fixed-soundness", "1/3"), 0, nexp),
             (("check-gap", nexp, "--alpha", "3"), 0, None),
+            (("build", "pnexp", script, "--out", tmp_path / "pnexp.game"), 0, None),
+            (("build", "mrip", spec, "--out", tmp_path / "mrip.game"), 0, None),
         ]
         for argv, code, save in steps:
             argv = [str(a) for a in argv]
+            out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
             shell = subprocess.run(
                 [sys.executable, "-m", "provergames.cli", *argv],
                 capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
                 timeout=120,
             )
+            if out:
+                written = out.read_bytes()
+                out.unlink()
             assert (shell.returncode, shell.stdout, shell.stderr) == run(capsys, *argv)
             assert shell.returncode == code
-            assert bool(shell.stdout) == (code != 2) and ("error:" in shell.stderr) == (code == 2)
+            if out:
+                assert written and out.read_bytes() == written
+            assert bool(shell.stdout) == (code != 2 and not out)
+            assert ("error:" in shell.stderr) == (code == 2)
             if save:
                 save.write_text(shell.stdout)
 

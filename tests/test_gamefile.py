@@ -225,7 +225,7 @@ def reference_dumps(doc):
 
 
 def golden_and_corpus_games():
-    for build, _, _ in test_protocols.TestMipSubtreeGolden.BUILDS.values():
+    for build, _, _ in test_protocols.TestBuilderGolden.BUILDS.values():
         yield build().game
     for game, _ in corpus_games(60):
         yield game

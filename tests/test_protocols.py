@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,8 @@ from provergames.equilibrium import enumerate_sse
 from provergames.errors import GameError
 from provergames.gaps import answer_bit_distribution
 from provergames.protocols import (
+    DRAW_CAP,
+    MipOutcome,
     MripSpec,
     OracleScript,
     build_mrip_simulation,
@@ -34,7 +37,7 @@ from provergames.trees import (
     validate_game,
 )
 
-from test_cli import PNEXP_SCRIPT
+from test_cli import MRIP_SPEC, PNEXP_SCRIPT
 
 
 class TestThreeColoring:
@@ -113,6 +116,11 @@ class TestToyMip:
         mip = fixed_soundness_mip(1, 3)
         assert mip.soundness == F(1, 3) and not mip.is_true
         assert fixed_soundness_mip(3, 3).is_true
+
+    def test_fixed_soundness_total_is_capped(self):
+        assert len(fixed_soundness_mip(1, DRAW_CAP).outcomes) == DRAW_CAP
+        with pytest.raises(GameError, match="exceeds cap"):
+            fixed_soundness_mip(1, DRAW_CAP + 1)
 
     def test_dimacs_parse(self):
         text = "c comment\np cnf 2 2\n1 2 0\n-1 2 0\n"
@@ -221,11 +229,101 @@ class TestMripSimulation:
             build_mrip_simulation(MripSpec(1, 1, ("0", "1"), payments))
 
 
-class TestMipSubtreeGolden:
-    """sha256 of the game document and of the honest strategy document, recorded
-    before the nexp and pnexp builders shared one MIP subtree helper."""
+def _mrip(provers, rounds, pay):
+    """The mrip simulation of a binary-alphabet spec paying `pay(transcript)`."""
+    space = [tuple(itertools.product("01", repeat=rounds))] * provers
+    return build_mrip_simulation(
+        MripSpec(provers, rounds, ("0", "1"), {t: pay(t) for t in itertools.product(*space)})
+    )
+
+
+class TestSpecDocuments:
+    """`to_doc` writes the document `from_doc` reads, and a built game's
+    metadata is that document plus the builder's own keys."""
+
+    SCRIPTS = [
+        PNEXP_SCRIPT,
+        {"first": "q", "output": {"0": 1, "1": 0}, "num_queries": 1, "mips": {}},
+    ]
+    SPECS = [
+        MRIP_SPEC,
+        {"provers": 1, "rounds": 2, "alphabet": ["a", "b", "c"],
+         "payments": {f"{x}+{y}": "1/3" for x in "abc" for y in "abc"}},
+    ]
+
+    @pytest.mark.parametrize("doc", SCRIPTS)
+    def test_oracle_script_round_trip(self, doc):
+        script = OracleScript.from_doc(doc)
+        assert OracleScript.from_doc(script.to_doc()) == script
+        keys = ("first", "next", "output", "num_queries")
+        assert script.to_doc() == {k: doc.get(k, {}) for k in keys}
+
+    @pytest.mark.parametrize("doc", SPECS)
+    def test_mrip_spec_round_trip(self, doc):
+        spec = MripSpec.from_doc(doc)
+        assert MripSpec.from_doc(spec.to_doc()) == spec
+        assert spec.to_doc() == doc
+
+    def test_pnexp_meta_is_script_document(self):
+        script = OracleScript.from_doc(PNEXP_SCRIPT)
+        build = build_pnexp_protocol(script, mips_from_doc(PNEXP_SCRIPT))
+        assert build.game.meta == script.to_doc() | {
+            "protocol": "pnexp", "mips": PNEXP_SCRIPT["mips"], "scale": "1/3",
+            "correct_bit": build.correct_bit,
+        }
+
+    @pytest.mark.parametrize("doc", SPECS)
+    def test_mrip_meta_is_spec_document(self, doc):
+        spec = MripSpec.from_doc(doc)
+        build = build_mrip_simulation(spec)
+        assert build.game.meta == spec.to_doc() | {
+            "protocol": "mrip", "scale": "1/2", "correct_bit": build.correct_bit,
+        }
+
+
+class TestBuilderGolden:
+    """sha256 of the game document and of the honest strategy document. The
+    nexp and pnexp entries were recorded before those builders shared one MIP
+    subtree helper, the others before every builder shared one finishing path."""
 
     BUILDS = {
+        "three-coloring-k3": (
+            lambda: build_three_coloring(3, [(0, 1), (0, 2), (1, 2)]),
+            "2efcb490abcf08f24021497137d8e94896df57e9653918306cf7e1632255d6bd",
+            "655317136c67cb914e24a9442a6696fdaaeaaef6c1d4de054757b94ce4bb7ff5",
+        ),
+        "three-coloring-k4": (
+            lambda: build_three_coloring(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            "6068fb1236e7db48e579de6872a4eeca854bfbfdaa9e57b107d3a4a93a1d4e00",
+            "d8bc936fb3d86aeecb7c4cdd3b104f6e0e1ae5a905ae7f2dc5c5349c1722c179",
+        ),
+        "three-coloring-edge": (
+            lambda: build_three_coloring(2, [(0, 1)]),
+            "0657500201df78901f26e06447215bedbd442e41d212fc633444ecbabeb6f533",
+            "a729f8ca2ae951afaf63d800cb79c9d46e87d02d975f1e4aaff7c6a243f7b46d",
+        ),
+        "mrip-toy": (
+            lambda: build_mrip_simulation(MripSpec.from_doc(MRIP_SPEC)),
+            "534d4607f0ff10fc668622ddfd374248dde94d0aeefefa09f74b32f32894a940",
+            "571a6f0bac8a227e17991a2cbb798cc17d0d33d9a39ae43f29f82f87798ce4d9",
+        ),
+        "mrip-two-round": (
+            lambda: _mrip(1, 2, lambda t: F(1 + int(t[0][0]) * 4 + int(t[0][1]) * 2, 8)),
+            "870277648c7b94601de7911967ab1f9d58b4640efaab7656c274d64857405efe",
+            "2c2fd63075132c1b84517b9401d30f0ee51c29bf596a13b752ee27324c019ee1",
+        ),
+        "mrip-two-prover-two-round": (
+            # Ties in the payments exercise the shared tie-break of probe
+            # answers and continuations.
+            lambda: _mrip(2, 2, lambda t: F(int(t[0][0]) + int(t[0][1]) + int(t[1][0]) * int(t[1][1]) + 1, 4)),
+            "d810f1f78401658b2dc206c37e99d6878d3351413396e9a07577ed476cc4dbc5",
+            "79e4d64728be626f3a9b5b4746e18ad4d3ea663fca47c8ce7e42973b65d6ab28",
+        ),
+        "nexp-clause-unsat-r2": (
+            lambda: build_nexp_protocol(toy_clause_variable_mip(((1,), (-1,)), 1, 2)),
+            "636340347bff3a29024a36793c2d808c56b7c72e0279c14a798569662aa92621",
+            "d5504d70f054d85c4cfaf94cdde3ee4342ccb0ddc9d82e389cf06ee91c79bb05",
+        ),
         "nexp-fixed-2/3": (
             lambda: build_nexp_protocol(fixed_soundness_mip(2, 3)),
             "86804ca0ce39b515b343cbd035aa21385dbc4c94d98026d24286b3ebf2cc757f",
@@ -265,6 +363,33 @@ class TestMipSubtreeGolden:
 
         assert sha(gamefile.game_to_doc(b.game)) == game_sha
         assert sha(gamefile.strategy_to_doc(b.honest)) == honest_sha
+
+    def test_clause_var_boxes_unchanged(self):
+        sat = toy_clause_variable_mip(((1, 2), (-1, 2)), 2)
+        alphabet = ("00", "01", "10", "11")
+        assert (sat.name, sat.soundness, sat.is_true) == ("clause-var-sat-2x2r1", None, True)
+        assert sat.honest_p1 == (("c1", "01"), ("c2", "01"))
+        assert sat.honest_p2 == (("v1", "0"), ("v2", "1"))
+        assert sat.p1_answers == (("c1", alphabet), ("c2", alphabet))
+        assert sat.p2_answers == (("v1", ("0", "1")), ("v2", ("0", "1")))
+        assert sat.outcomes == tuple(
+            MipOutcome(f"c{c}.v{v}", F(1, 4), f"c{c}", f"v{v}") for c in (1, 2) for v in (1, 2)
+        )
+
+        unsat = toy_clause_variable_mip(((1,), (-1,)), 1, 2)
+        pairs = ("0+0", "0+1", "1+0", "1+1")
+        queries = ("c1+c1", "c1+c2", "c2+c1", "c2+c2")
+        assert (unsat.name, unsat.soundness, unsat.is_true) == (
+            "clause-var-unsat-2x1r2", F(1, 4), False,
+        )
+        assert unsat.honest_p1 == tuple((q, "0+0") for q in queries)
+        assert unsat.honest_p2 == (("v1+v1", "0+0"),)
+        assert unsat.p1_answers == tuple((q, pairs) for q in queries)
+        assert unsat.p2_answers == (("v1+v1", pairs),)
+        assert unsat.outcomes == tuple(
+            MipOutcome(f"c{a}.v1+c{b}.v1", F(1, 4), f"c{a}+c{b}", "v1+v1")
+            for a in (1, 2) for b in (1, 2)
+        )
 
 
 class TestBuilderInvariants:
