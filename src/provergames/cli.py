@@ -12,7 +12,7 @@ import functools
 import sys
 
 from . import gamefile
-from .equilibrium import DEFAULT_PROFILE_CAP, enumerate_sse, is_sse
+from .equilibrium import enumerate_sse, is_sse
 from .errors import GameError, GameFileError
 from .gaps import answer_bit_distribution, gap_threshold, verify_utility_gap
 from .pruning import prune_nature, verify_pruning
@@ -30,6 +30,7 @@ from .protocols import (
 )
 from .subforms import find_dominant_sse
 from .trees import (
+    DEFAULT_PROFILE_CAP,
     GameTree,
     StrategyProfile,
     check_perfect_recall,
@@ -59,13 +60,15 @@ def _emit(args, doc: dict, text_lines: list[str], stdout: bool = False) -> None:
     _write(None if stdout else args.out, text)
 
 
+def _check_nodes(args, game: GameTree) -> None:
+    if len(game.nodes) > args.max_nodes:
+        raise GameError(f"game has {len(game.nodes)} nodes, over --max-nodes {args.max_nodes}")
+
+
 def _read_game(args) -> GameTree:
     with open(args.game) as fp:
         game, _ = gamefile.load_game(fp)
-    if len(game.nodes) > args.max_nodes:
-        raise GameError(
-            f"game has {len(game.nodes)} nodes, over --max-nodes {args.max_nodes}"
-        )
+    _check_nodes(args, game)
     return game
 
 
@@ -126,10 +129,7 @@ def _cmd_build(args) -> int:
         build = build_mrip_simulation(MripSpec.from_doc(doc))
     else:  # pragma: no cover - argparse restricts choices
         raise GameError(f"unknown protocol {args.protocol}")
-    if len(build.game.nodes) > args.max_nodes:
-        raise GameError(
-            f"game has {len(build.game.nodes)} nodes, over --max-nodes {args.max_nodes}"
-        )
+    _check_nodes(args, build.game)
     _write(args.out, gamefile.dumps(gamefile.game_to_doc(build.game)))
     if args.honest_out:
         _write(args.honest_out, gamefile.dumps(gamefile.strategy_to_doc(build.honest)))

@@ -30,8 +30,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
-from .errors import CapExceededError, ImperfectRecallError
+from .errors import ImperfectRecallError
 from .trees import (
+    DEFAULT_PROFILE_CAP,
     NATURE,
     GameTree,
     History,
@@ -40,13 +41,10 @@ from .trees import (
     _IntCore,
     all_profiles,
     check_perfect_recall,
-    profile_space_size,
     reach_map,
     require_total_profile,
     utility_vector,
 )
-
-DEFAULT_PROFILE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -246,16 +244,10 @@ def enumerate_sse(
     game: GameTree, cap: int = DEFAULT_PROFILE_CAP
 ) -> list[StrategyProfile]:
     """All pure SSEs, in canonical action-order enumeration."""
-    size = profile_space_size(game)
-    if size > cap:
-        raise CapExceededError(f"{size} profiles exceed cap {cap}", size)
+    profiles = all_profiles(game, cap)
     _require_recall(game)
     core = _IntCore(game)
-    return [
-        s
-        for s in all_profiles(game)
-        if is_sse(game, s, _core=core, _first=True).verdict
-    ]
+    return [s for s in profiles if is_sse(game, s, _core=core, _first=True).verdict]
 
 
 def max_total_utility_sse(

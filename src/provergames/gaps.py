@@ -25,19 +25,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import CapExceededError, GameError
+from .errors import GameError
 from .trees import (
+    DEFAULT_PROFILE_CAP,
     GameTree,
     StrategyProfile,
     TerminalNode,
     _IntCore,
     all_profiles,
-    profile_space_size,
     reach_map,
     require_total_profile,
     utility_vector,
 )
-from .subforms import Subform, find_subforms, sets_in
+from .subforms import Subform, dominant_sse_set, find_subforms, sets_in
 
 
 def answer_bit_distribution(
@@ -196,16 +196,10 @@ def verify_utility_gap(
     splice loss; the protocol has the claimed gap iff that minimum exceeds
     1/alpha.
     """
-    from .equilibrium import DEFAULT_PROFILE_CAP
-
     if correct_bit not in (0, 1):
         raise GameError(f"correct_bit must be 0 or 1, got {correct_bit}")
     threshold = gap_threshold(alpha)
-    cap = cap if cap is not None else DEFAULT_PROFILE_CAP
-    size = profile_space_size(game)
-    if size > cap:
-        raise CapExceededError(f"{size} profiles exceed cap {cap}", size)
-
+    profiles = all_profiles(game, DEFAULT_PROFILE_CAP if cap is None else cap)
     scan = _SpliceScan(game, s_star)
     wrong_bit = [
         scan.core.index[t] for t in game.terminals if game.nodes[t].answer_bit != correct_bit
@@ -214,7 +208,7 @@ def verify_utility_gap(
     wrong = 0
     measured: Fraction | None = None
     worst: WrongProfileRow | None = None
-    for s in all_profiles(game):
+    for s in profiles:
         choice, value, reached = scan.evaluate(s)
         if not any(map(reached.__getitem__, wrong_bit)):
             continue
@@ -270,8 +264,6 @@ def subinterval_profile_check(
 ) -> SubintervalReport:
     """Every SSE failing the closeness test must sit in a different subinterval
     profile than the dominant SSE, in at least one prover's coordinate."""
-    from .subforms import dominant_sse_set
-
     if s_star is None:
         dominants = dominant_sse_set(game, sse_set)
         if not dominants:

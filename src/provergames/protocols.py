@@ -31,7 +31,7 @@ from .trees import (
 VERTEX_CAP = 4
 QUERY_CAP = 3
 DRAW_CAP = 64  # verifier draws of a fixed-soundness blackbox
-P2_STRATEGY_CAP = 1 << 20
+ACCEPT_CALL_CAP = 1 << 18  # accept checks of a clause-var soundness scan
 
 def _get(doc: Any, key: str, kind: type, where: str = "") -> Any:
     """`doc[key]`, which must be a `kind`; a spec document comes from outside,
@@ -188,7 +188,8 @@ def toy_clause_variable_mip(
     first prover commits the clause's full assignment, the second the probed
     variable's bit; accept needs every repetition satisfied and consistent.
     The reported soundness for an unsatisfiable formula is the exact maximum
-    accept probability over all prover strategy pairs.
+    accept probability over all prover strategy pairs; a scan that would make
+    more than `ACCEPT_CALL_CAP` accept checks raises `CapExceededError` first.
     """
     if num_vars < 1 or num_vars > 4 or len(clauses) > 6 or not clauses:
         raise GameError("formula out of desk scale (at most 4 variables, 6 clauses)")
@@ -248,11 +249,10 @@ def toy_clause_variable_mip(
         # Unsatisfiable: exact soundness by scanning P2 strategies with a
         # per-query best response for P1.
         p2_queries = sorted(p2_alpha)
-        space = len(p2_symbols) ** len(p2_queries)
-        if space > P2_STRATEGY_CAP:
-            raise CapExceededError(
-                f"{space} second-prover strategies exceed cap {P2_STRATEGY_CAP}", space
-            )
+        per_strategy = sum(len(p1_alpha[o.p1_query]) for o in outcomes)
+        calls = len(p2_symbols) ** len(p2_queries) * per_strategy
+        if calls > ACCEPT_CALL_CAP:
+            raise CapExceededError(f"{calls} accept checks exceed cap {ACCEPT_CALL_CAP}", calls)
         by_p1_query: dict[str, list[MipOutcome]] = {}
         for o in outcomes:
             by_p1_query.setdefault(o.p1_query, []).append(o)

@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+
+from .equilibrium import enumerate_sse, is_sse
 from .errors import CapExceededError, GameError
+from .gaps import answer_bit_distribution, subinterval_index
+from .subforms import dominant_sse_set, find_dominant_sse, is_perfect_information
 from .trees import (
+    DEFAULT_PROFILE_CAP,
     NATURE,
     DecisionNode,
     GameTree,
@@ -20,22 +25,18 @@ from .trees import (
     StrategyProfile,
     continuation_values,
     path_of,
+    profile_space_size,
     require_total_profile,
     utility_vector,
 )
 
 
 def interval_index(payment: Fraction, alpha: int) -> tuple[int, int]:
-    """(interval, half) bucket of a payment; the top interval is closed at 1."""
+    """(interval, half) bucket of a payment: its width-1/(4*alpha) subinterval
+    (`gaps.subinterval_index`) split in pairs; the top interval is closed at 1."""
     if alpha < 1:
         raise GameError(f"alpha must be a positive integer, got {alpha}")
-    if not (-1 <= payment <= 1):
-        raise GameError(f"payment {payment} outside [-1,1]")
-    if payment == 1:
-        return 2 * alpha - 1, 1
-    ell = (2 * alpha * payment).__floor__()
-    half = 0 if payment < Fraction(2 * ell + 1, 4 * alpha) else 1
-    return ell, half
+    return divmod(subinterval_index(payment, alpha), 2)
 
 
 def interval_representative(payment: Fraction, alpha: int) -> Fraction:
@@ -71,14 +72,18 @@ class IntervalMap:
     groupings: tuple[NatureGrouping, ...]
 
 
+def _check_args(game: GameTree, alpha: int, prover: int | None) -> None:
+    if prover is not None and not (1 <= prover <= game.provers):
+        raise GameError(f"prover {prover} out of range 1..{game.provers}")
+    if alpha < 1:
+        raise GameError(f"alpha must be a positive integer, got {alpha}")
+
+
 def prune_nature(
     game: GameTree, s: StrategyProfile, alpha: int, prover: int
 ) -> tuple[GameTree, IntervalMap]:
     """Regroup every Nature node by the designated prover's payment buckets."""
-    if not (1 <= prover <= game.provers):
-        raise GameError(f"prover {prover} out of range 1..{game.provers}")
-    if alpha < 1:
-        raise GameError(f"alpha must be a positive integer, got {alpha}")
+    _check_args(game, alpha, prover)
     require_total_profile(game, s)
     values = continuation_values(game, s)
     new_nodes: dict[History, object] = {}
@@ -149,9 +154,6 @@ class PruningReport:
 
 def _in_class(game: GameTree, s: StrategyProfile, dominant: StrategyProfile | None) -> bool:
     """`s` is an SSE with the utility vector and answer distribution of `dominant`."""
-    from .equilibrium import is_sse
-    from .gaps import answer_bit_distribution
-
     return (
         dominant is not None
         and is_sse(game, s).verdict
@@ -175,10 +177,7 @@ def verify_pruning(
     the grouping; other provers are reported but only enforced when no
     designated prover is named.
     """
-    from .equilibrium import DEFAULT_PROFILE_CAP, enumerate_sse
-    from .subforms import dominant_sse_set, find_dominant_sse, is_perfect_information
-    from .trees import profile_space_size
-
+    _check_args(original, alpha, designated_prover)
     notes: list[str] = []
     support = []
     bound = 8 * alpha

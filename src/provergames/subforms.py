@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .equilibrium import DEFAULT_PROFILE_CAP, enumerate_sse, is_sse
+from .equilibrium import enumerate_sse, is_sse
 from .errors import CapExceededError, GameError, StructureError
 from .trees import (
+    DEFAULT_PROFILE_CAP,
     NATURE,
     DecisionNode,
     GameTree,
@@ -28,7 +29,6 @@ from .trees import (
     StrategyProfile,
     TerminalNode,
     _IntCore,
-    profile_space_size,
     require_total_profile,
 )
 
@@ -203,7 +203,7 @@ def _layered_dominant(
     current = list(range(len(sse_set)))
     trace: list[SubformComparison] = []
     for k in heights:
-        comp = list(range(len(sse_set))) if k == 1 else list(current)
+        comp = list(current)
         layer = [sf for sf in subs if sf.height == k]
         watching = watch is not None and any(sse_set[i] == watch for i in current)
         survivors = []
@@ -386,14 +386,13 @@ def find_dominant_sse(
     the height induction. Larger perfect-information games use the subtree
     class search, which agrees with the literal path wherever both run.
     """
-    if profile_space_size(game) <= profile_cap:
+    try:
         sses = enumerate_sse(game, cap=profile_cap)
-        survivors = dominant_sse_set(game, sses)
-        return survivors[0] if survivors else None
-    if is_perfect_information(game):
-        return _perfect_info_dominant(game, class_cap)
-    raise CapExceededError(
-        f"{profile_space_size(game)} profiles exceed cap {profile_cap} and the game "
-        "has non-singleton information sets",
-        profile_space_size(game),
-    )
+    except CapExceededError as exc:
+        if is_perfect_information(game):
+            return _perfect_info_dominant(game, class_cap)
+        raise CapExceededError(
+            f"{exc} and the game has non-singleton information sets", exc.count
+        ) from None
+    survivors = dominant_sse_set(game, sses)
+    return survivors[0] if survivors else None

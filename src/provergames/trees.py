@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Iterable, Iterator, Mapping, Union
 
-from .errors import BeliefError, ProfileError, StructureError, UnknownHistoryError
+from .errors import BeliefError, CapExceededError, ProfileError, StructureError, UnknownHistoryError
 
 NATURE = 0  # player id of the chance player; provers are 1..p
 
@@ -641,23 +641,21 @@ def group_info_sets(
     return tuple(sets)
 
 
-def all_profiles(game: GameTree, cap: int | None = None):
-    """Iterate every pure profile in canonical action order; `cap` guards the product."""
-    from .errors import CapExceededError
+DEFAULT_PROFILE_CAP = 10**7
 
-    sets = game.sorted_sets
-    count = 1
-    for iset in sets:
-        count *= len(iset.actions)
-    if cap is not None and count > cap:
+
+def all_profiles(game: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[StrategyProfile]:
+    """Every pure profile in canonical action order. This is the one profile-cap
+    gate: a space over `cap` raises `CapExceededError` at the call, before any
+    profile is built."""
+    count = profile_space_size(game)
+    if count > cap:
         raise CapExceededError(f"{count} profiles exceed cap {cap}", count)
+    sets = game.sorted_sets
     keys = [iset.key for iset in sets]  # already in key order
-    for combo in itertools.product(*(iset.actions for iset in sets)):
-        yield StrategyProfile(tuple(zip(keys, combo)))
+    combos = itertools.product(*(iset.actions for iset in sets))
+    return (StrategyProfile(tuple(zip(keys, combo))) for combo in combos)
 
 
 def profile_space_size(game: GameTree) -> int:
-    n = 1
-    for iset in game.info_sets:
-        n *= len(iset.actions)
-    return n
+    return math.prod(len(iset.actions) for iset in game.info_sets)

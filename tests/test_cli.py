@@ -408,6 +408,18 @@ class TestBuildCaps:
         assert (code, out) == (2, "") and err == "error: total 1000000 exceeds cap 64\n"
         assert not game.exists()
 
+    def test_clause_var_scan_over_cap(self, tmp_path, capsys):
+        # Unsatisfiable, so the soundness scan runs: 4^9 second-prover
+        # strategies times 64 accept checks each.
+        cnf, game = tmp_path / "unsat.cnf", tmp_path / "nexp.game"
+        cnf.write_text("p cnf 3 4\n1 0\n-1 0\n2 0\n3 0\n")
+        code, out, err = run(
+            capsys, "build", "nexp", cnf, "--repetitions", "2", "--out", game
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: 16777216 accept checks exceed cap 262144\n"
+        assert not game.exists()
+
     def test_max_nodes_bounds_build(self, tmp_path, capsys):
         edges = tmp_path / "k4.edges"
         edges.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

@@ -15,7 +15,9 @@ from provergames.equilibrium import (
     max_total_utility_sse,
 )
 from provergames.errors import CapExceededError, ImperfectRecallError, ProfileError
+from provergames.gaps import verify_utility_gap
 from provergames.pruning import prune_nature
+from provergames.subforms import find_dominant_sse
 from provergames.trees import (
     NATURE,
     DecisionNode,
@@ -34,6 +36,23 @@ from provergames.trees import (
 )
 
 from randgames import corpus_games, random_game, random_profile, random_root_lottery_game
+
+
+def forgetful_game() -> GameTree:
+    """One prover who forgets its first move: 4 profiles, no perfect recall."""
+    nodes = {
+        (): DecisionNode(1, ("a", "b")),
+        ("a",): DecisionNode(1, ("x", "y")),
+        ("b",): DecisionNode(1, ("x", "y")),
+    }
+    for first in ("a", "b"):
+        for second in ("x", "y"):
+            nodes[(first, second)] = TerminalNode((F(0),), 0)
+    sets = (
+        InformationSet(1, ((),), ("a", "b")),
+        InformationSet(1, (("a",), ("b",)), ("x", "y")),
+    )
+    return GameTree(1, nodes, sets)
 
 
 def is_sse_fraction(game: GameTree, s: StrategyProfile) -> SseCertificate:
@@ -130,19 +149,8 @@ class TestIsSse:
         assert v.delta == 1 * scale  # refuting beats agreeing by one dollar
 
     def test_requires_perfect_recall(self):
-        nodes = {
-            (): DecisionNode(1, ("a", "b")),
-            ("a",): DecisionNode(1, ("x", "y")),
-            ("b",): DecisionNode(1, ("x", "y")),
-        }
-        for first in ("a", "b"):
-            for second in ("x", "y"):
-                nodes[(first, second)] = TerminalNode((F(0),), 0)
-        sets = (
-            InformationSet(1, ((),), ("a", "b")),
-            InformationSet(1, (("a",), ("b",)), ("x", "y")),
-        )
-        game = GameTree(1, nodes, sets)
+        game = forgetful_game()
+        sets = game.sorted_sets
         s = StrategyProfile.from_dict({sets[0].key: "a", sets[1].key: "x"})
         with pytest.raises(ImperfectRecallError):
             is_sse(game, s)
@@ -405,10 +413,36 @@ class TestEnumerate:
         for s in all_profiles(game):
             assert is_sse(game, s).verdict == (s in listed)
 
-    def test_cap_exceeded_reports_count(self, k3):
+    @pytest.mark.parametrize(
+        "search",
+        [
+            # No next(): the gate raises at the call, before any profile.
+            lambda b: all_profiles(b.game, 1000),
+            lambda b: enumerate_sse(b.game, cap=1000),
+            lambda b: verify_utility_gap(b.game, b.honest, 1, b.correct_bit, cap=1000),
+        ],
+        ids=["all_profiles", "enumerate_sse", "verify_utility_gap"],
+    )
+    def test_cap_exceeded_reports_count(self, k3, search):
+        count = 2 * 27 * 4**27
         with pytest.raises(CapExceededError) as err:
-            enumerate_sse(k3.game, cap=1000)
-        assert err.value.count == 2 * 27 * 4**27
+            search(k3)
+        assert err.value.count == count
+        assert str(err.value) == f"{count} profiles exceed cap 1000"
+
+    def test_cap_is_checked_before_recall(self):
+        game = forgetful_game()
+        with pytest.raises(CapExceededError, match="^4 profiles exceed cap 3$"):
+            enumerate_sse(game, cap=3)
+        with pytest.raises(
+            CapExceededError,
+            match="^4 profiles exceed cap 3 and the game has non-singleton information sets$",
+        ) as err:
+            find_dominant_sse(game, profile_cap=3)
+        assert err.value.count == 4
+        for search in (enumerate_sse, find_dominant_sse):
+            with pytest.raises(ImperfectRecallError):
+                search(game, 4)
 
 
 class TestMaxTotal:

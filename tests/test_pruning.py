@@ -40,6 +40,17 @@ def lottery(payments, weights=None):
     return make_game(1, nodes)
 
 
+def reference_interval_index(payment: F, alpha: int) -> tuple[int, int]:
+    """The (interval, half) bucket computed directly on the width-1/(2*alpha) grid."""
+    if not (-1 <= payment <= 1):
+        raise GameError(f"payment {payment} outside [-1,1]")
+    if payment == 1:
+        return 2 * alpha - 1, 1
+    ell = (2 * alpha * payment).__floor__()
+    half = 0 if payment < F(2 * ell + 1, 4 * alpha) else 1
+    return ell, half
+
+
 class TestIntervalRepresentative:
     @pytest.mark.parametrize(
         "payment,alpha,expected",
@@ -62,6 +73,15 @@ class TestIntervalRepresentative:
             interval_representative(F(3, 2), 1)
         with pytest.raises(GameError):
             interval_representative(F(0), 0)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    def test_interval_index_matches_reference(self, alpha):
+        values = {F(n, d) for d in range(1, 49) for n in range(-d, d + 1)}
+        for p in values:
+            assert interval_index(p, alpha) == reference_interval_index(p, alpha)
+        for p in (F(-49, 48), F(49, 48), F(2)):
+            with pytest.raises(GameError, match=f"^value {p} outside"):
+                interval_index(p, alpha)
 
     def test_bucket_count_bounded(self):
         rng = random.Random(1)
@@ -169,6 +189,23 @@ class TestPruneNature:
 
 
 class TestVerifyPruning:
+    @pytest.mark.parametrize("prover", [0, -1, 3])
+    def test_refuses_a_prover_out_of_range(self, nexp_unsat_third, prover):
+        game, s = nexp_unsat_third.game, nexp_unsat_third.honest
+        message = f"^prover {prover} out of range 1..2$"
+        with pytest.raises(GameError, match=message):
+            prune_nature(game, s, 1, prover)
+        with pytest.raises(GameError, match=message):
+            verify_pruning(game, game, s, 1, designated_prover=prover)
+
+    def test_refuses_alpha_below_one(self, nexp_unsat_third):
+        game, s = nexp_unsat_third.game, nexp_unsat_third.honest
+        message = "^alpha must be a positive integer, got 0$"
+        with pytest.raises(GameError, match=message):
+            prune_nature(game, s, 0, 1)
+        with pytest.raises(GameError, match=message):
+            verify_pruning(game, game, s, 0, designated_prover=1)
+
     def test_identity_when_support_small(self):
         game = lottery([F(0), F(0)])
         s = StrategyProfile(())
