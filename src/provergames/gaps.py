@@ -15,15 +15,18 @@ with no other member as a prefix), and by linearity the splice loss is
 with V the continuation values. The scans read it off the integer core of
 `trees` (`_IntCore`): at a reached m the difference of the two profiles'
 fields is D*reach_s(m) times the difference of the values, so each loss is
-one exact Fraction over D. That costs one evaluation of `s_star` per call and
-one per profile. `splice` stays the literal oracle.
+an int over D, and a threshold test cross-multiplies it with 1/alpha.
+`verify_utility_gap` walks the choice-index tuples of `profile_choices`: per
+profile one reach walk, and only for a profile reaching a wrong-bit terminal
+one bottom-up value pass; `s_star` costs one of each per call. A `Fraction`
+is built only for a reported loss. `splice` stays the literal oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import GameError
 from .trees import (
@@ -32,7 +35,7 @@ from .trees import (
     StrategyProfile,
     TerminalNode,
     _IntCore,
-    all_profiles,
+    profile_choices,
     reach_map,
     require_total_profile,
     utility_vector,
@@ -88,7 +91,7 @@ class _SpliceScan:
     def __init__(self, game: GameTree, s_star: StrategyProfile):
         self.core = core = _IntCore(game)
         star_choice = core.choices(s_star)
-        self.star, _ = core.evaluate(star_choice)
+        self.star, self.star_reached = core.evaluate(star_choice)
         set_no = {iset: k for k, iset in enumerate(core.sets)}
         self.plan = []  # (subform, frontier, actors, (set, owner, s_star action) inside)
         for sf in find_subforms(game):
@@ -103,11 +106,20 @@ class _SpliceScan:
         choice = self.core.choices(s)
         return (choice, *self.core.evaluate(choice))
 
-    def losses(self, choice: list[int], value: list[int], reached: bytearray) -> Iterator[tuple]:
-        """(subform, actors, deviators, loss) per subform that `evaluate`'s profile
-        reaches and deviates in, in canonical order; `loss[j - 1]` is prover j's
-        utility under the splice minus under the profile."""
-        field, star, scale = self.core.field, self.star, self.core.scale
+    def bar(self, threshold: Fraction) -> tuple[int, int]:
+        """(n, d) such that a loss L of `losses` compares with `threshold` as
+        L * d compares with n: L/D against n/(d*D), D = `core.scale` > 0."""
+        return threshold.numerator * self.core.scale, threshold.denominator
+
+    def losses(
+        self, choice: Sequence[int], value: list[int], reached: bytearray
+    ) -> Iterator[tuple]:
+        """(subform, actors, deviators, loss) per subform that the profile
+        `choice` reaches and deviates in, in canonical order; `loss[j - 1]` is
+        D times prover j's utility under the splice minus under the profile,
+        an int. The frontier members reached are disjoint histories, so their
+        packed values sum without carrying between fields."""
+        field, star = self.core.field, self.star
         provers = range(1, self.core.game.provers + 1)
         for sf, frontier, actors, inside in self.plan:
             entries = [m for m in frontier if reached[m]]
@@ -116,10 +128,9 @@ class _SpliceScan:
             deviators = sorted({owner for k, owner, a in inside if choice[k] != a})
             if not deviators:  # the splice is the profile itself
                 continue
-            yield sf, actors, deviators, tuple(
-                Fraction(sum(field(star[m], j) - field(value[m], j) for m in entries), scale)
-                for j in provers
-            )
+            gain = sum(star[m] for m in entries)
+            base = sum(value[m] for m in entries)
+            yield sf, actors, deviators, tuple(field(gain, j) - field(base, j) for j in provers)
 
 
 @dataclass(frozen=True)
@@ -137,12 +148,12 @@ def find_gap_witness(
 ) -> GapWitness | None:
     """First subform/prover pair whose splice gain exceeds 1/alpha, scanning
     subforms in canonical (height-ascending) order."""
-    threshold = gap_threshold(alpha)
     scan = _SpliceScan(game, s_star)
+    n, d = scan.bar(gap_threshold(alpha))
     for sf, _, deviators, loss in scan.losses(*scan.evaluate(s_prime)):
         for j in deviators:
-            if loss[j - 1] > threshold:
-                return GapWitness(sf.key, j, loss[j - 1])
+            if loss[j - 1] * d > n:
+                return GapWitness(sf.key, j, Fraction(loss[j - 1], scan.core.scale))
     return None
 
 
@@ -159,8 +170,9 @@ def check_gap_closeness(
 
 
 def _closes(scan: _SpliceScan, s: StrategyProfile, threshold: Fraction) -> bool:
+    n, d = scan.bar(threshold)
     for _, actors, _, loss in scan.losses(*scan.evaluate(s)):
-        if any(loss[j - 1] >= threshold for j in actors):
+        if any(loss[j - 1] * d >= n for j in actors):
             return False
     return True
 
@@ -194,39 +206,46 @@ def verify_utility_gap(
 
     The measured gap is the minimum over wrong profiles of the best available
     splice loss; the protocol has the claimed gap iff that minimum exceeds
-    1/alpha.
+    1/alpha. An `s_star` that itself reaches the wrong bit raises `GameError`.
     """
     if correct_bit not in (0, 1):
         raise GameError(f"correct_bit must be 0 or 1, got {correct_bit}")
     threshold = gap_threshold(alpha)
-    profiles = all_profiles(game, DEFAULT_PROFILE_CAP if cap is None else cap)
+    profiles = profile_choices(game, DEFAULT_PROFILE_CAP if cap is None else cap)
     scan = _SpliceScan(game, s_star)
+    core = scan.core
     wrong_bit = [
-        scan.core.index[t] for t in game.terminals if game.nodes[t].answer_bit != correct_bit
+        core.index[t] for t in game.terminals if game.nodes[t].answer_bit != correct_bit
     ]
+    # Every other profile deviates in the whole-game subform, which is always
+    # reached, so `s_star` is the only wrong profile that could lack a witness.
+    if any(map(scan.star_reached.__getitem__, wrong_bit)):
+        raise GameError(f"s_star reaches answer bit {1 - correct_bit}, not {correct_bit}")
+    n, d = scan.bar(threshold)
     verdict = True
     wrong = 0
-    measured: Fraction | None = None
-    worst: WrongProfileRow | None = None
-    for s in profiles:
-        choice, value, reached = scan.evaluate(s)
+    measured: tuple | None = None  # (loss, subform key, prover, choice)
+    for choice in profiles:
+        reached = core.reach(choice)
         if not any(map(reached.__getitem__, wrong_bit)):
             continue
         wrong += 1
-        best: tuple[Fraction, str, int] | None = None
-        for sf, _, deviators, loss in scan.losses(choice, value, reached):
+        best: tuple | None = None
+        for sf, _, deviators, loss in scan.losses(choice, core.values(choice), reached):
             for j in deviators:
                 if best is None or loss[j - 1] > best[0]:
                     best = (loss[j - 1], sf.key, j)
-        if best is None:
-            # A wrong profile with no deviation anywhere cannot exist.
-            raise GameError("wrong-bit profile identical to the dominant SSE")
-        if best[0] <= threshold:
+        if best[0] * d <= n:
             verdict = False
-        if measured is None or best[0] < measured:
-            measured = best[0]
-            worst = WrongProfileRow(s.choices, *best)
-    return GapReport(verdict, Fraction(alpha), threshold, wrong, measured, worst)
+        if measured is None or best[0] < measured[0]:
+            measured = (*best, choice)
+    if measured is None:
+        return GapReport(verdict, Fraction(alpha), threshold, wrong, None, None)
+    loss, key, prover, choice = measured
+    gap = Fraction(loss, core.scale)
+    profile = tuple((iset.key, iset.actions[c]) for iset, c in zip(core.sets, choice))
+    worst = WrongProfileRow(profile, gap, key, prover)
+    return GapReport(verdict, Fraction(alpha), threshold, wrong, gap, worst)
 
 
 @dataclass(frozen=True)

@@ -522,9 +522,13 @@ class _IntCore:
 
     def evaluate(self, choice: list[int]) -> tuple[list[int], bytearray]:
         """Packed node values and reached flags under the profile `choice`."""
+        return self.values(choice), self.reach(choice)
+
+    def values(self, choice: list[int]) -> list[int]:
+        """Packed node values under the profile `choice`: one bottom-up pass."""
         value = self.leaf[:]
         self.advance(value, choice, self.bottom_up)
-        return value, self.reach(choice)
+        return value
 
     def advance(self, value: list[int], choice: list[int], steps: tuple) -> None:
         """Run bottom-up `steps` (a slice of `bottom_up`, as in `stages`) on
@@ -644,17 +648,28 @@ def group_info_sets(
 DEFAULT_PROFILE_CAP = 10**7
 
 
-def all_profiles(game: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[StrategyProfile]:
-    """Every pure profile in canonical action order. This is the one profile-cap
-    gate: a space over `cap` raises `CapExceededError` at the call, before any
-    profile is built."""
+def check_profile_cap(game: GameTree, cap: int) -> None:
+    """The one profile-cap gate: a space over `cap` raises `CapExceededError`."""
     count = profile_space_size(game)
     if count > cap:
         raise CapExceededError(f"{count} profiles exceed cap {cap}", count)
+
+
+def all_profiles(game: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[StrategyProfile]:
+    """Every pure profile in canonical action order. The cap is checked at the
+    call, before any profile is built."""
+    check_profile_cap(game, cap)
     sets = game.sorted_sets
     keys = [iset.key for iset in sets]  # already in key order
     combos = itertools.product(*(iset.actions for iset in sets))
     return (StrategyProfile(tuple(zip(keys, combo))) for combo in combos)
+
+
+def profile_choices(game: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[tuple[int, ...]]:
+    """`all_profiles` as action-index tuples in `sorted_sets` order, the form
+    `_IntCore` evaluates: same order, same count, same gate at the call."""
+    check_profile_cap(game, cap)
+    return itertools.product(*(range(len(iset.actions)) for iset in game.sorted_sets))
 
 
 def profile_space_size(game: GameTree) -> int:

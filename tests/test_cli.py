@@ -88,6 +88,17 @@ class TestBuildAndAnalyze:
         code, out, _ = run(capsys, "check-gap", game, "--alpha", "12/5")
         assert code == 1
 
+    def test_gap_against_a_strategy_answering_the_wrong_bit_exits_two(self, tmp_path, capsys):
+        game = tmp_path / "nexp.game"
+        dom = tmp_path / "dom.strategy"
+        run(capsys, "build", "nexp", "--fixed-soundness", "1/3", "--out", game)
+        run(capsys, "find-dominant", game, "--strategy-out", dom)
+        code, out, err = run(
+            capsys, "check-gap", game, "--alpha", "3", "--strategy", dom, "--correct-bit", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: s_star reaches answer bit 0, not 1\n"
+
     def test_enumerate_matches_bruteforce_count(self, tmp_path, capsys):
         game = tmp_path / "nexp.game"
         run(capsys, "build", "nexp", "--fixed-soundness", "2/2", "--out", game)

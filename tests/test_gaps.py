@@ -1,18 +1,27 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from provergames import (
+    OracleScript,
+    build_nexp_protocol,
+    build_pnexp_protocol,
+    fixed_soundness_mip,
+)
 from provergames.equilibrium import enumerate_sse
 from provergames.errors import GameError
 from provergames.gaps import (
+    GapReport,
     GapWitness,
     WrongProfileRow,
     answer_bit_distribution,
     check_gap_closeness,
     find_gap_witness,
+    gap_threshold,
     splice,
     subinterval_index,
     subinterval_profile_check,
@@ -26,16 +35,18 @@ from provergames.trees import (
     NATURE,
     StrategyProfile,
     TerminalNode,
+    _IntCore,
     all_profiles,
     continuation_values,
     expected_utility,
     make_game,
+    profile_choices,
     profile_space_size,
     reach_map,
     utility_vector,
 )
 
-from randgames import random_game, random_profile
+from randgames import corpus_games, random_game, random_profile
 
 
 class TestAnswerBitDistribution:
@@ -125,8 +136,6 @@ class TestVerifyUtilityGap:
         assert report.measured_gap / scale == F(1)
 
     def test_nexp_gap_formula(self):
-        from provergames import build_nexp_protocol, fixed_soundness_mip
-
         for accepting, total in [(1, 3), (1, 2), (1, 4)]:
             build = build_nexp_protocol(fixed_soundness_mip(accepting, total))
             rho = F(accepting, total)
@@ -432,3 +441,230 @@ class TestClosedFormSplices:
             find_gap_witness(game, honest, honest, alpha)
         with pytest.raises(GameError, match="positive"):
             check_gap_closeness(game, honest, honest, alpha)
+
+
+def reference_wrong_rows(game, s_star, correct_bit):
+    """The per-profile loop of `verify_utility_gap` as it was before the scan
+    moved to choice indices and integer losses: every `all_profiles` profile
+    evaluated in full, each splice loss an exact Fraction. One (profile, best
+    (loss, subform key, prover)) row per wrong profile, in scan order."""
+    if correct_bit not in (0, 1):
+        raise GameError(f"correct_bit must be 0 or 1, got {correct_bit}")
+    core = _IntCore(game)
+    star_choice = core.choices(s_star)
+    star, _ = core.evaluate(star_choice)
+    set_no = {iset: k for k, iset in enumerate(core.sets)}
+    plan = []
+    for sf in find_subforms(game):
+        members = ((),) if sf.root_set is None else sf.root_set.members
+        frontier = [m for m in members if not any(o != m and m[: len(o)] == o for o in members)]
+        inside = [(set_no[i], i.owner, star_choice[set_no[i]]) for i in sets_in(game, sf)]
+        plan.append((sf, [core.index[m] for m in frontier], inside))
+    wrong_bit = [core.index[t] for t in game.terminals if game.nodes[t].answer_bit != correct_bit]
+    rows = []
+    for s in all_profiles(game):
+        choice = core.choices(s)
+        value, reached = core.evaluate(choice)
+        if not any(reached[t] for t in wrong_bit):
+            continue
+        best = None
+        for sf, frontier, inside in plan:
+            entries = [m for m in frontier if reached[m]]
+            deviators = sorted({owner for k, owner, a in inside if choice[k] != a})
+            if not entries or not deviators:
+                continue
+            for j in deviators:
+                loss = F(
+                    sum(core.field(star[m], j) - core.field(value[m], j) for m in entries),
+                    core.scale,
+                )
+                if best is None or loss > best[0]:
+                    best = (loss, sf.key, j)
+        if best is None:
+            raise GameError("wrong-bit profile identical to the dominant SSE")
+        rows.append((s.choices, best))
+    return rows
+
+
+def reference_verify_utility_gap(game, s_star, alpha, correct_bit, rows=None):
+    """The Fraction scan's report; `rows` from `reference_wrong_rows` for the
+    same game, `s_star` and bit saves scanning again at another alpha."""
+    threshold = gap_threshold(alpha)
+    if rows is None:
+        rows = reference_wrong_rows(game, s_star, correct_bit)
+    verdict, measured, worst = True, None, None
+    for profile, best in rows:
+        if best[0] <= threshold:
+            verdict = False
+        if measured is None or best[0] < measured:
+            measured = best[0]
+            worst = WrongProfileRow(profile, *best)
+    return GapReport(verdict, F(alpha), threshold, len(rows), measured, worst)
+
+
+CAMPAIGN_ALPHAS = (F(1, 3), F(6, 5), F(7, 2), 10**6)
+
+
+def _same_reports(game, s_star):
+    """Both bits at every campaign alpha: the scan and the reference agree on
+    `GapReport`s, or both refuse. Returns the number of reports compared."""
+    compared = 0
+    for bit in (0, 1):
+        try:
+            rows = reference_wrong_rows(game, s_star, bit)
+        except GameError:
+            for alpha in CAMPAIGN_ALPHAS:
+                with pytest.raises(GameError, match="s_star reaches answer bit"):
+                    verify_utility_gap(game, s_star, alpha, bit)
+            continue
+        for alpha in CAMPAIGN_ALPHAS:
+            expected = reference_verify_utility_gap(game, s_star, alpha, bit, rows)
+            report = verify_utility_gap(game, s_star, alpha, bit)
+            assert report == expected and repr(report) == repr(expected)
+            compared += 1
+    return compared
+
+
+def _certain_profile(rng, game):
+    """A random profile answering some bit with certainty, or None."""
+    for _ in range(16):
+        s = random_profile(rng, game)
+        if 1 in answer_bit_distribution(game, s).values():
+            return s
+    return None
+
+
+class TestReferenceCampaign:
+    """The index/integer scan gives the same reports as the Fraction scan it replaced."""
+
+    def test_random_games_and_their_prunings(self):
+        # For the bit `s_star` does not answer, both sides refuse.
+        rng = random.Random(4242)
+        games = compared = 0
+        while games < 30:
+            game = random_game(
+                rng, provers=2, max_nodes=20, max_depth=4, max_actions=3, max_prover_sets=8
+            )
+            if not 512 <= profile_space_size(game) <= 2048:
+                continue
+            s_star = _certain_profile(rng, game)
+            if s_star is None:
+                continue
+            games += 1
+            pruned, _ = prune_nature(game, s_star, 1, 1)
+            compared += _same_reports(game, s_star) + _same_reports(pruned, s_star)
+        assert compared == 30 * 2 * len(CAMPAIGN_ALPHAS)
+
+    @pytest.mark.parametrize(
+        "accepting, total", [(a, t) for t in range(1, 6) for a in range(t + 1)]
+    )
+    def test_nexp_fixed_soundness_grid(self, accepting, total):
+        build = build_nexp_protocol(fixed_soundness_mip(accepting, total))
+        assert _same_reports(build.game, build.honest) == len(CAMPAIGN_ALPHAS)
+
+    @pytest.mark.parametrize("name", ["pnexp_toy", "mrip_toy", "mini_coloring"])
+    def test_protocol_toys(self, request, name):
+        build = request.getfixturevalue(name)
+        assert _same_reports(build.game, build.honest) >= len(CAMPAIGN_ALPHAS)
+
+
+class TestScanThresholdAndWork:
+    def _tie_game(self):
+        # Nature plays "x" with 1/3; the prover's "b" there drops 6/5, so the
+        # only wrong profile loses exactly 1/3 * 6/5 = 2/5 at scale D = 3 * 10.
+        nodes = {
+            (): DecisionNode(NATURE, ("x", "y"), (F(1, 3), F(2, 3))),
+            ("x",): DecisionNode(1, ("a", "b")),
+            ("x", "a"): TerminalNode((F(1),), 1),
+            ("x", "b"): TerminalNode((F(-1, 5),), 0),
+            ("y",): TerminalNode((F(1, 2),), 1),
+        }
+        game = make_game(1, nodes)
+        key = game.info_sets[0].key
+        return game, StrategyProfile.from_dict({key: "a"}), StrategyProfile.from_dict({key: "b"})
+
+    def test_binding_loss_equal_to_threshold_fails(self):
+        game, s_star, s = self._tie_game()
+        assert _IntCore(game).scale == 30
+        alpha = F(5, 2)
+        report = verify_utility_gap(game, s_star, alpha, 1)
+        assert report.measured_gap == F(2, 5) == report.threshold
+        assert not report.verdict
+        assert find_gap_witness(game, s_star, s, alpha) is None
+        assert not check_gap_closeness(game, s, s_star, alpha)
+        # Just above 5/2 the threshold 5/13 sits below the 2/5 loss.
+        alpha = F(13, 5)
+        assert verify_utility_gap(game, s_star, alpha, 1).verdict
+        witness = GapWitness(game.info_sets[0].key, 1, F(2, 5))
+        assert find_gap_witness(game, s_star, s, alpha) == witness
+        assert not check_gap_closeness(game, s, s_star, alpha)
+        assert check_gap_closeness(game, s, s_star, F(12, 5))
+
+    @pytest.mark.parametrize("name", ["pnexp_toy", "mrip_toy", "nexp_unsat_third"])
+    def test_one_value_pass_per_wrong_profile(self, request, monkeypatch, name):
+        build = request.getfixturevalue(name)
+        passes = []
+        advance = _IntCore.advance
+
+        def counted(self, value, choice, steps):
+            passes.append(len(steps))
+            return advance(self, value, choice, steps)
+
+        monkeypatch.setattr(_IntCore, "advance", counted)
+        report = verify_utility_gap(build.game, build.honest, 2, build.correct_bit)
+        assert 0 < report.wrong_profiles < profile_space_size(build.game)
+        assert len(passes) == report.wrong_profiles + 1  # +1 for s_star
+
+    def test_profile_choices_follow_all_profiles(self):
+        for game, _ in corpus_games(50):
+            sets = game.sorted_sets
+            expected = [
+                tuple(iset.actions.index(a) for iset, (_, a) in zip(sets, s.choices))
+                for s in all_profiles(game)
+            ]
+            assert list(profile_choices(game)) == expected
+
+    def test_star_answering_the_wrong_bit_fails_fast(self, nexp_unsat_third, monkeypatch):
+        build = nexp_unsat_third
+        walks = []
+        reach = _IntCore.reach
+
+        def counted(self, choice):
+            walks.append(tuple(choice))
+            return reach(self, choice)
+
+        monkeypatch.setattr(_IntCore, "reach", counted)
+        assert build.correct_bit == 0
+        with pytest.raises(GameError, match="^s_star reaches answer bit 0, not 1$"):
+            verify_utility_gap(build.game, build.honest, 3, 1)
+        assert len(walks) == 1  # s_star's own, before any profile is scanned
+
+
+PNEXP_3Q_MIPS = {"qa": (3, 3), "qb": (1, 3), "qc": (2, 2), "qd": (1, 2)}
+
+
+def test_three_query_pnexp_gap_is_pinned():
+    # The 3-query P^NEXP script: qa first, then qb or qc, then qd; the answer
+    # is the parity of the three bits.
+    script = OracleScript(
+        first="qa",
+        next_query={(q, b): "qd" for q in ("qb", "qc") for b in (0, 1)}
+        | {("qa", 1): "qb", ("qa", 0): "qc"},
+        output={(a, b, c): a ^ b ^ c for a in (0, 1) for b in (0, 1) for c in (0, 1)},
+        num_queries=3,
+    )
+    mips = {q: fixed_soundness_mip(*kn) for q, kn in PNEXP_3Q_MIPS.items()}
+    build = build_pnexp_protocol(script, mips)
+    game = build.game
+    assert (len(game.nodes), profile_space_size(game), build.scale) == (509, 65536, F(1, 3))
+    report = verify_utility_gap(game, build.honest, F(100) / build.scale, build.correct_bit)
+    assert report.verdict and report.wrong_profiles == 32768
+    assert report.measured_gap == report.worst.max_loss == F(1, 18)
+    worst = report.worst
+    assert worst.witness_prover == 2
+    members = worst.witness_subform.split("|")
+    assert len(members) == 8 and all(m.startswith("ans:") and m.endswith("/i=1") for m in members)
+    assert worst.profile[0] == ("", "ans:0;000")
+    # The whole report, byte for byte, as the Fraction scan gave it.
+    digest = hashlib.sha256(repr(report).encode()).hexdigest()
+    assert digest == "d6431db62ff768c7b9f65bdcb75221ad488952963939eae0e9b0aef31600a98f"
