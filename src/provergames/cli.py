@@ -95,8 +95,14 @@ def _load_strategy(path: str, game: GameTree) -> StrategyProfile:
 
 
 def _cmd_build(args) -> int:
-    needs_instance = args.protocol != "nexp" or not args.fixed_soundness
-    if needs_instance and args.instance is None:
+    fixed = args.fixed_soundness is not None
+    if fixed and args.protocol != "nexp":
+        raise GameError("--fixed-soundness applies only to protocol 'nexp'")
+    if fixed and args.instance is not None:
+        raise GameError("protocol 'nexp' takes an instance file or --fixed-soundness, not both")
+    if args.repetitions is not None and (args.protocol != "nexp" or fixed):
+        raise GameError("--repetitions applies only to protocol 'nexp' on a DIMACS instance")
+    if not fixed and args.instance is None:
         raise GameError(f"protocol {args.protocol!r} requires an instance file")
     if args.protocol == "three-coloring":
         edges = []
@@ -111,13 +117,14 @@ def _cmd_build(args) -> int:
                 vertices = max(vertices, u + 1, v + 1)
         build = build_three_coloring(vertices, edges)
     elif args.protocol == "nexp":
-        if args.fixed_soundness:
+        if fixed:
             frac = rational(args.fixed_soundness)
             mip = fixed_soundness_mip(frac.numerator, frac.denominator)
         else:
             with open(args.instance) as fp:
                 num_vars, clauses = parse_dimacs(fp.read())
-            mip = toy_clause_variable_mip(clauses, num_vars, args.repetitions)
+            repetitions = 1 if args.repetitions is None else args.repetitions
+            mip = toy_clause_variable_mip(clauses, num_vars, repetitions)
         build = build_nexp_protocol(mip)
     elif args.protocol == "pnexp":
         with open(args.instance) as fp:
@@ -275,7 +282,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compile a protocol instance to a game file")
     p.add_argument("protocol", choices=("three-coloring", "nexp", "pnexp", "mrip"))
     p.add_argument("instance", nargs="?", help="instance file (edge list, DIMACS, JSON)")
-    p.add_argument("--repetitions", type=int, default=1)
+    p.add_argument("--repetitions", type=int, help="nexp on a DIMACS instance: 1..3 (default 1)")
     p.add_argument("--fixed-soundness", help="k/N blackbox instead of a CNF instance")
     p.add_argument("--honest-out", help="also write the honest strategy here")
     common(p, game=False)

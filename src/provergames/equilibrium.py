@@ -13,14 +13,20 @@ between integers and Nature weights cancel (the realization weights of the
 sequence form). Only a reported violation turns back into exact Fractions:
 its delta is the integer gain over the scale of the member, or of the reached
 members, and its belief the members' weights over their sum, so certificates
-equal those of a Fraction evaluation. The check is one staged pass: the
-core's `stages` run the bottom-up steps a set needs, and the set is checked
-on the values computed so far, before any node above it is valued; the
+equal those of a Fraction evaluation. The check runs the core's `stages`
+in order, deepest-ready set first. A set's verdict depends only on the
+choices at the set, at the sets below its members and, when it has two or
+more members, at the sets on the paths to them, so each stage keeps a memo
+from those choices to its violations (context-based caching, as in AND/OR
+search). Only a miss runs the pending bottom-up steps and checks the set, on
+values computed so far; a one-member set's entry holds the reached and the
+unreached certificate, and a check of the member's path picks one. The
 violations are then put back in `sorted_sets` order. `enumerate_sse` checks
 recall and compiles the core once, then passes it to `is_sse` as the private
 `_core` for every profile, with the private `_first`: only the verdict
 matters there, so the pass stops at the first violation, which the
-certificate reports alone. A standalone `is_sse` call compiles its own core.
+certificate reports alone. The memo lives as long as the core; a standalone
+`is_sse` call compiles its own.
 """
 
 from __future__ import annotations
@@ -80,57 +86,80 @@ def is_sse(
     _core: _IntCore | None = None,
     _first: bool = False,
 ) -> SseCertificate:
-    """One-shot deviation check: one top-down reach pass, then one staged
-    bottom-up pass on the integer core that checks each set as soon as its
-    members' children are valued. `enumerate_sse` compiles the core once and
-    passes it as `_core`; with `_first` the check stops at the first
-    violation and reports it alone."""
+    """One-shot deviation check, stage by stage on the integer core: each
+    set's verdict is looked up under the choices it depends on, and only a
+    miss runs the pending bottom-up steps and checks the set. `enumerate_sse`
+    compiles the core once and passes it as `_core`; with `_first` the check
+    stops at the first violation and reports it alone."""
     if _core is None:
         _require_recall(game)
         _core = _IntCore(game)
     choice = _core.choices(s)
-    reached = _core.reach(choice)
-    value = _core.leaf[:]
-    advance, field, weight = _core.advance, _core.field, _core.weight
     stats = {"ops": _core.ops}
     violations = []
-    for steps, k in _core.stages:
-        advance(value, choice, steps)
-        iset = _core.sets[k]
-        owner = iset.owner
-        members, rows, c = _core.members[k], _core.rows[k], choice[k]
-        chosen = iset.actions[c]
-        live = tuple(n for n, m in enumerate(members) if reached[m])
-        if live:
-            base = sum(field(value[rows[n][c]], owner) for n in live)
-            for a, label in enumerate(iset.actions):
-                if a == c:
-                    continue
-                gain = sum(field(value[rows[n][a]], owner) for n in live) - base
-                if gain > 0:
-                    belief, total = _core.posterior(k, live)
-                    delta = Fraction(gain, total)
-                    violations.append(
-                        SseViolation(iset.key, True, None, belief, chosen, label, delta)
-                    )
-                    if _first:
-                        return SseCertificate(False, tuple(violations), stats)
-        else:
-            for h, m, row in zip(iset.members, members, rows):
-                base = field(value[row[c]], owner)
-                for a, label in enumerate(iset.actions):
-                    if a == c:
-                        continue
-                    gain = field(value[row[a]], owner) - base
-                    if gain > 0:
-                        delta = Fraction(gain, weight[m])
-                        violations.append(
-                            SseViolation(iset.key, False, h, None, chosen, label, delta)
-                        )
-                        if _first:
-                            return SseCertificate(False, tuple(violations), stats)
+    value, done = None, 0
+    for end, k, key, memo, paths in _core.stages:
+        found = None if key is None else memo.get(kv := key(choice))
+        if found is None:
+            if value is None:
+                value = _core.leaf[:]
+            _core.advance(value, choice, _core.bottom_up[done:end])
+            done = end
+            found = _check_stage(_core, k, choice, value, paths)
+            if key is not None:
+                memo[kv] = found
+        if found:
+            if len(paths) == 1:  # (reached, unreached)
+                found = found[0] if _core.live(paths, choice) else found[1]
+            if _first:
+                return SseCertificate(False, found[:1], stats)
+            violations.extend(found)
     violations.sort(key=lambda v: v.set_key)  # stable: `sorted_sets` order
     return SseCertificate(not violations, tuple(violations), stats)
+
+
+def _check_stage(
+    core: _IntCore, k: int, choice: list[int], value: list[int], paths: tuple
+) -> tuple:
+    """Set k's memo entry under `choice`: its violations, given the values
+    of its members' children. A one-member set's verdict does not depend on
+    whether it is reached, but its certificate does, so its entry is the
+    pair (reached, unreached), or () when there is no violation."""
+    c = choice[k]
+    if len(paths) > 1:
+        return _violations(core, k, c, value, core.live(paths, choice))
+    unreached = _violations(core, k, c, value, ())
+    return unreached and (_violations(core, k, c, value, (0,)), unreached)
+
+
+def _violations(core: _IntCore, k: int, c: int, value: list[int], live: tuple) -> tuple:
+    """Set k's violations under the Bayes posterior over its members at
+    positions `live`, or at each member alone when `live` is empty."""
+    iset, field = core.sets[k], core.field
+    owner, rows, chosen = iset.owner, core.rows[k], iset.actions[c]
+    out = []
+    if live:
+        base = sum(field(value[rows[n][c]], owner) for n in live)
+        for a, label in enumerate(iset.actions):
+            if a == c:
+                continue
+            gain = sum(field(value[rows[n][a]], owner) for n in live) - base
+            if gain > 0:
+                belief, total = core.posterior(k, live)
+                out.append(
+                    SseViolation(iset.key, True, None, belief, chosen, label, Fraction(gain, total))
+                )
+        return tuple(out)
+    for h, m, row in zip(iset.members, core.members[k], rows):
+        base = field(value[row[c]], owner)
+        for a, label in enumerate(iset.actions):
+            if a == c:
+                continue
+            gain = field(value[row[a]], owner) - base
+            if gain > 0:
+                delta = Fraction(gain, core.weight[m])
+                out.append(SseViolation(iset.key, False, h, None, chosen, label, delta))
+    return tuple(out)
 
 
 def _value_under(

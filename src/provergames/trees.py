@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -420,7 +421,8 @@ class _IntCore:
     at one node m. If m is reached under a profile, W'(m) is its reach
     probability, so that difference over `scale` = D is reach(m) times the
     difference of the continuation values. Compile once per analysis, not per
-    tree: the object holds arrays the size of the tree.
+    tree: the object holds arrays the size of the tree, and the SSE check's
+    memo (`stages`), which grows with the profiles checked on it.
     """
 
     def __init__(self, game: GameTree):
@@ -479,16 +481,6 @@ class _IntCore:
             for i in reversed(range(len(order)))
             if i not in pay
         )
-        # Set k is ready once every step above its shallowest member has run:
-        # topo_order sorts by length, so every child of every member lies
-        # there. Sets go deepest-ready first, each with the steps it adds.
-        stages, done = [], 0
-        for top, k in sorted(((min(m), k) for k, m in enumerate(self.members)), reverse=True):
-            start = done
-            while done < len(self.bottom_up) and self.bottom_up[done][0] > top:
-                done += 1
-            stages.append((self.bottom_up[start:done], k))
-        self.stages = tuple(stages)
         self.rows = tuple(tuple(self.kids[m] for m in members) for members in self.members)
         self._keyed = tuple(
             (iset.key, {a: n for n, a in enumerate(iset.actions)}) for iset in self.sets
@@ -515,6 +507,85 @@ class _IntCore:
             require_total_profile(self.game, s)  # raises the ProfileError
             raise
 
+    @cached_property
+    def stages(self) -> tuple:
+        """The SSE check's schedule, built on first use: one stage per set
+        with two or more actions (a set with one has nothing to deviate to),
+        as (end, k, key, memo, paths).
+
+        Set k is ready once every step above its shallowest member has run:
+        topo_order sorts by length, so every child of every member lies
+        there. Sets go deepest-ready first, and `bottom_up[:end]` holds the
+        steps set k needs. Its verdict depends only on the choices at k, at
+        the sets with a node below a member, and, when k has two or more
+        members, at the sets on the paths to them, which fix the reached
+        members. `key(choice)` reads those choices (one-action sets left out,
+        they never vary) and `memo` maps it to the stage's verdict; `key` is
+        None when it would read every set with two or more actions, as such
+        a key never repeats within one enumeration. `paths` holds, per
+        member, () at the root, None below a zero-probability Nature edge,
+        and otherwise a getter of the varying sets on its path with the
+        action indices it must read (see `live`)."""
+        n = len(self.leaf)
+        varies = [len(iset.actions) > 1 for iset in self.sets]
+        every = sum(1 << k for k, v in enumerate(varies) if v)
+        below = [0] * n  # bitmask of the varying sets with a node in i's subtree
+        for i, kids, k in self.bottom_up:
+            mask = 1 << k if k >= 0 and varies[k] else 0
+            for c in kids:
+                mask |= below[c]
+            below[i] = mask
+        path: list[tuple | None] = [None] * n
+        path[0] = ()
+        for i, kids, k in reversed(self.bottom_up):  # top-down, leaves left out
+            if path[i] is None:
+                continue  # below a zero-probability Nature edge
+            for a, c in enumerate(kids):
+                if self.kids[c]:
+                    path[c] = path[i] + ((k, a),) if k >= 0 and varies[k] else path[i]
+        stages, done = [], 0
+        for top, k in sorted(((min(m), k) for k, m in enumerate(self.members)), reverse=True):
+            while done < len(self.bottom_up) and self.bottom_up[done][0] > top:
+                done += 1
+            if not varies[k]:
+                continue
+            members = self.members[k]
+            deps = 1 << k
+            for m in members:
+                for c in self.kids[m]:
+                    deps |= below[c]
+            paths = []
+            for m in members:
+                p = path[m]
+                if p:  # the choices on the path, read as `key` reads them
+                    want = dict(p)
+                    get = operator.itemgetter(*want)
+                    p = (get, get(want))
+                    if len(members) > 1:
+                        deps |= sum(1 << j for j in want)
+                paths.append(p)
+            key = None
+            if deps != every:
+                sets, rest = [], deps
+                while rest:
+                    low = rest & -rest
+                    sets.append(low.bit_length() - 1)
+                    rest ^= low
+                key = operator.itemgetter(*sets)
+            stages.append((done, k, key, {}, tuple(paths)))
+        return tuple(stages)
+
+    @staticmethod
+    def live(paths: tuple, choice: list[int]) -> tuple[int, ...]:
+        """Positions of the members reached under `choice`, from a stage's
+        `paths`: a member is reached when the profile takes every action on
+        its path and no zero-probability Nature edge lies on it."""
+        return tuple(
+            n
+            for n, p in enumerate(paths)
+            if p is not None and (not p or p[0](choice) == p[1])
+        )
+
     def field(self, v: int, prover: int) -> int:
         """Prover `prover`'s field of the packed value `v` of a node h: under
         the profile, D*W'(h) times h's continuation value plus the raise."""
@@ -531,8 +602,8 @@ class _IntCore:
         return value
 
     def advance(self, value: list[int], choice: list[int], steps: tuple) -> None:
-        """Run bottom-up `steps` (a slice of `bottom_up`, as in `stages`) on
-        `value`, which starts as a copy of `leaf`."""
+        """Run bottom-up `steps` (a slice of `bottom_up`) on `value`, which
+        starts as a copy of `leaf`."""
         get = value.__getitem__
         for i, kids, k in steps:
             value[i] = sum(map(get, kids)) if k < 0 else value[kids[choice[k]]]

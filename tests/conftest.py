@@ -21,6 +21,7 @@ from provergames import (
 
 K3_EDGES = [(0, 1), (0, 2), (1, 2)]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+PNEXP_3Q_MIPS = {"qa": (3, 3), "qb": (1, 3), "qc": (2, 2), "qd": (1, 2)}  # (k, N) per query
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +68,21 @@ def pnexp_toy():
         next_query={("qa", 1): "qb", ("qa", 0): "qc"},
         output={(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
         num_queries=2,
+    )
+    return build_pnexp_protocol(script, mips)
+
+
+@pytest.fixture(scope="session")
+def pnexp_three_query():
+    # qa first, then qb or qc, then qd; the answer is the parity of the three
+    # bits. 509 nodes and 65,536 profiles.
+    mips = {q: fixed_soundness_mip(*kn) for q, kn in PNEXP_3Q_MIPS.items()}
+    script = OracleScript(
+        first="qa",
+        next_query={(q, b): "qd" for q in ("qb", "qc") for b in (0, 1)}
+        | {("qa", 1): "qb", ("qa", 0): "qc"},
+        output={(a, b, c): a ^ b ^ c for a in (0, 1) for b in (0, 1) for c in (0, 1)},
+        num_queries=3,
     )
     return build_pnexp_protocol(script, mips)
 

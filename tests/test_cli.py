@@ -232,6 +232,40 @@ class TestSpecDocuments:
         assert err.startswith("error:") and key in err and "Traceback" not in err
 
 
+class TestBuildOptions:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["three-coloring", "{edges}", "--repetitions", "-2"], "--repetitions applies only"),
+            (["nexp", "--fixed-soundness", "1/2", "--repetitions", "9"], "--repetitions applies only"),
+            (["three-coloring", "{edges}", "--fixed-soundness", "1/2"], "--fixed-soundness applies only"),
+            (["nexp", "{edges}", "--fixed-soundness", "1/2"], "not both"),
+            (["pnexp", "{edges}", "--repetitions", "1"], "--repetitions applies only"),
+            (["nexp", "{cnf}", "--repetitions", "0"], "repetitions must be between 1 and 3"),
+        ],
+        ids=["coloring-repetitions", "fixed-repetitions", "coloring-fixed", "nexp-both", "pnexp-repetitions", "zero-repetitions"],
+    )
+    def test_unused_or_bad_option_exits_two(self, tmp_path, capsys, k3_edges, argv, message):
+        cnf = tmp_path / "formula.cnf"
+        cnf.write_text("p cnf 2 1\n1 2 0\n")
+        game = tmp_path / "out.game"
+        argv = [a.format(edges=k3_edges, cnf=cnf) for a in argv]
+        code, out, err = run(capsys, "build", *argv, "--out", game)
+        assert code == 2 and out == "" and not game.exists()
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and message in line
+
+    def test_repetitions_apply_to_dimacs(self, tmp_path, capsys):
+        cnf = tmp_path / "formula.cnf"
+        cnf.write_text("p cnf 2 1\n1 2 0\n")
+        one, two = tmp_path / "r1.game", tmp_path / "r2.game"
+        assert run(capsys, "build", "nexp", cnf, "--out", one)[0] == 0
+        assert run(capsys, "build", "nexp", cnf, "--repetitions", "1", "--out", two)[0] == 0
+        assert one.read_text() == two.read_text()  # 1 is the default
+        assert run(capsys, "build", "nexp", cnf, "--repetitions", "2", "--out", two)[0] == 0
+        assert one.read_text() != two.read_text()
+
+
 class TestErrors:
     def test_malformed_game_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.game"

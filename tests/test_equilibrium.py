@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from provergames import equilibrium
 from provergames.equilibrium import (
     SseCertificate,
     SseViolation,
@@ -508,3 +510,197 @@ class TestMaxTotal:
                     for w in vectors
                 )
         assert flagged > 0
+
+
+def unmemoised_core(game: GameTree) -> _IntCore:
+    """A core whose stages neither read nor fill a memo: every call checks
+    every set, as a fresh core does on its first call."""
+    core = _IntCore(game)
+    core.stages = tuple((end, k, None, {}, paths) for end, k, _, _, paths in core.stages)
+    return core
+
+
+def assert_shared_core_agrees(game, profiles, rng) -> tuple[int, int]:
+    """Full and `_first` certificates from one shared core, visited in
+    canonical order and in a seeded shuffle, equal those without a memo;
+    returns the canonical pass's memo entries and a bound on its lookups."""
+    ref = unmemoised_core(game)
+    # `_first` reports the first violation of the first set checked.
+    rank = {ref.sets[k].key: n for n, (_, k, _, _, _) in enumerate(ref.stages)}
+    expected = {}
+    for s in profiles:
+        full = is_sse(game, s, _core=ref)
+        first = min(full.violations, key=lambda v: rank[v.set_key], default=None)
+        expected[s] = full, SseCertificate(full.verdict, (first,) if first else ())
+    assert is_sse(game, profiles[0]) == expected[profiles[0]][0]  # a fresh core
+    shuffled = list(profiles)
+    rng.shuffle(shuffled)
+    counts = None
+    for order in (profiles, shuffled):
+        core = _IntCore(game)
+        for n, s in enumerate(order):
+            full, first = expected[s]
+            if n % 2:  # either mode may meet an entry the other one stored
+                assert is_sse(game, s, _core=core) == full
+                assert is_sse(game, s, _core=core, _first=True) == first
+            else:
+                assert is_sse(game, s, _core=core, _first=True) == first
+                assert is_sse(game, s, _core=core) == full
+        if counts is None:
+            memoised = [memo for _, _, key, memo, _ in core.stages if key is not None]
+            counts = (sum(map(len, memoised)), 2 * len(profiles) * len(memoised))
+    return counts
+
+
+def equal_payment_game() -> GameTree:
+    # Prover 1 at the root, prover 2 after each move; every payment equal.
+    nodes = {(): DecisionNode(1, ("a", "b"))}
+    for a in ("a", "b"):
+        nodes[(a,)] = DecisionNode(2, ("c", "d"))
+        for c in ("c", "d"):
+            nodes[(a, c)] = TerminalNode((F(1, 2), F(1, 2)), 1)
+    return make_game(2, nodes)
+
+
+class TestVerdictMemo:
+    def test_shared_core_matches_fresh_on_corpus(self):
+        rng = random.Random(1212)
+        entries = lookups = 0
+        for game, _ in corpus_games(300):
+            e, n = assert_shared_core_agrees(game, list(all_profiles(game)), rng)
+            entries, lookups = entries + e, lookups + n
+        assert 0 < entries < lookups / 4  # the memo is filled, and read far more
+
+    def test_shared_core_matches_fresh_on_lotteries_and_prunings(self):
+        rng = random.Random(1313)
+        dead = 0
+        for _ in range(25):
+            game = random_root_lottery_game(rng, profile_cap=256)
+            for g in (game, prune_nature(game, random_profile(rng, game), 1, 1)[0]):
+                dead += any(
+                    isinstance(n, DecisionNode) and n.dist and 0 in n.dist
+                    for n in g.nodes.values()
+                )
+                assert_shared_core_agrees(g, list(all_profiles(g)), rng)
+        assert dead > 0  # members below zero-probability edges are met
+
+    def test_shared_core_matches_fresh_on_builders(
+        self, k3, mini_coloring, nexp_unsat_third, nexp_sat, nexp_clause_sat, pnexp_toy,
+        mrip_toy, mrip_two_round,
+    ):
+        rng = random.Random(1414)
+        for build in (
+            mini_coloring, nexp_unsat_third, nexp_sat, nexp_clause_sat, pnexp_toy,
+            mrip_toy, mrip_two_round,
+        ):
+            assert_shared_core_agrees(build.game, list(all_profiles(build.game)), rng)
+        # K3's space is far too large to list: the honest profile and a sample.
+        sample = [k3.honest] + [random_profile(rng, k3.game) for _ in range(60)]
+        assert_shared_core_agrees(k3.game, sample, rng)
+
+    def test_two_member_set_keyed_by_the_sets_on_its_paths(self):
+        # Prover 2's set S over ("L", "in") and ("R",) holds no set below it;
+        # prover 1's choice at "L", outside S's subtree, decides whether both
+        # members are reached (then "a" is best) or only ("R",) (then "b").
+        third = F(1, 3)
+        zero = (F(0), F(0))
+        nodes = {
+            (): DecisionNode(NATURE, ("D", "L", "R"), (third, third, third)),
+            ("D",): DecisionNode(1, ("u", "v")),
+            ("D", "u"): TerminalNode(zero, 0),
+            ("D", "v"): TerminalNode(zero, 0),
+            ("L",): DecisionNode(1, ("in", "out")),
+            ("L", "out"): TerminalNode(zero, 0),
+            ("L", "in"): DecisionNode(2, ("a", "b")),
+            ("L", "in", "a"): TerminalNode((F(0), F(1)), 0),
+            ("L", "in", "b"): TerminalNode(zero, 0),
+            ("R",): DecisionNode(2, ("a", "b")),
+            ("R", "a"): TerminalNode(zero, 0),
+            ("R", "b"): TerminalNode((F(0), F(1, 2)), 0),
+        }
+        sets = (
+            InformationSet(1, (("D",),), ("u", "v")),
+            InformationSet(1, (("L",),), ("in", "out")),
+            InformationSet(2, (("L", "in"), ("R",)), ("a", "b")),
+        )
+        game = GameTree(2, nodes, sets)
+        stage = next(st for st in _IntCore(game).stages if len(st[4]) == 2)
+        assert stage[2] is not None  # memoised, under S and the set at "L"
+        assert [(s.action("L"), s.action("L/in|R")) for s in enumerate_sse(game)] == [
+            ("in", "a"), ("out", "b"), ("in", "a"), ("out", "b"),
+        ]
+        (v,) = is_sse(game, StrategyProfile.from_dict({"D": "u", "L": "out", "L/in|R": "a"})).violations
+        assert v.belief == ((("L", "in"), F(0)), (("R",), F(1))) and v.delta == F(1, 2)
+        assert_shared_core_agrees(game, list(all_profiles(game)), random.Random(5))
+
+    def test_one_member_set_keeps_both_certificates(self):
+        # The set at ("go",) plays "b" and loses 1 whether or not the root
+        # leads there; one memo key, a reached and an unreached certificate.
+        nodes = {
+            (): DecisionNode(1, ("go", "stop")),
+            ("stop",): TerminalNode((F(1, 2),), 0),
+            ("go",): DecisionNode(1, ("a", "b")),
+            ("go", "a"): TerminalNode((F(1),), 1),
+            ("go", "b"): TerminalNode((F(0),), 0),
+        }
+        game = make_game(1, nodes)
+        reached = SseViolation("go", True, None, ((("go",), F(1)),), "b", "a", F(1))
+        unreached = SseViolation("go", False, ("go",), None, "b", "a", F(1))
+        root = SseViolation("", True, None, (((), F(1)),), "go", "stop", F(1, 2))
+        expected = {
+            ("go", "a"): (), ("go", "b"): (root, reached),
+            ("stop", "a"): (replace(root, current="stop", better="go"),),
+            ("stop", "b"): (unreached,),
+        }
+        for order in (list(expected), list(reversed(expected))):
+            core = _IntCore(game)
+            for first, second in order:
+                s = StrategyProfile.from_dict({"": first, "go": second})
+                assert is_sse(game, s, _core=core).violations == expected[first, second]
+                first_only = is_sse(game, s, _core=core, _first=True).violations
+                assert first_only == expected[first, second][-1:]  # the set at "go" comes first
+        assert_shared_core_agrees(game, list(all_profiles(game)), random.Random(6))
+
+    def test_set_keyed_by_sets_two_levels_down(self):
+        # A at ("p",) compares "r" (1/2) with "l", whose value is fixed by C
+        # at ("p", "l", "x"), two levels below, through B at ("p", "l").
+        zero = (F(0), F(0))
+        nodes = {
+            (): DecisionNode(NATURE, ("p", "q"), (F(1, 2), F(1, 2))),
+            ("q",): DecisionNode(2, ("u", "v")),
+            ("q", "u"): TerminalNode(zero, 0),
+            ("q", "v"): TerminalNode(zero, 0),
+            ("p",): DecisionNode(1, ("l", "r")),
+            ("p", "r"): TerminalNode((F(1, 2), F(0)), 0),
+            ("p", "l"): DecisionNode(1, ("x", "y")),
+            ("p", "l", "y"): TerminalNode(zero, 0),
+            ("p", "l", "x"): DecisionNode(1, ("m", "n")),
+            ("p", "l", "x", "m"): TerminalNode((F(1), F(0)), 1),
+            ("p", "l", "x", "n"): TerminalNode(zero, 0),
+        }
+        game = make_game(2, nodes)
+        stage = next(st for st in _IntCore(game).stages if st[1] == 0)  # "p" sorts first
+        assert stage[2] is not None  # memoised, under A, B and C
+        assert [tuple(a for _, a in s.choices) for s in enumerate_sse(game)] == [
+            ("l", "x", "m", "u"), ("l", "x", "m", "v"),
+        ]
+        assert_shared_core_agrees(game, list(all_profiles(game)), random.Random(7))
+
+    def test_three_query_pnexp_enumeration_is_pinned(self, pnexp_three_query, monkeypatch):
+        build = pnexp_three_query
+        checks = []
+        check = equilibrium._check_stage
+        monkeypatch.setattr(
+            equilibrium, "_check_stage", lambda core, k, *rest: checks.append(k) or check(core, k, *rest)
+        )
+        assert enumerate_sse(build.game) == [build.honest]
+        assert len(checks) == 960  # for 65,536 profiles
+
+    def test_full_key_stage_stays_out_of_the_memo(self):
+        game = equal_payment_game()
+        core = _IntCore(game)
+        assert "stages" not in vars(core)  # built on the first check only
+        profiles = list(all_profiles(game))
+        assert [s for s in profiles if is_sse(game, s, _core=core).verdict] == profiles
+        memo = {core.sets[k].key: (key is None, len(memo)) for _, k, key, memo, _ in core.stages}
+        assert memo == {"": (True, 0), "a": (False, 2), "b": (False, 2)}

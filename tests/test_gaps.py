@@ -6,12 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from provergames import (
-    OracleScript,
-    build_nexp_protocol,
-    build_pnexp_protocol,
-    fixed_soundness_mip,
-)
+from provergames import build_nexp_protocol, fixed_soundness_mip
 from provergames.equilibrium import enumerate_sse
 from provergames.errors import GameError
 from provergames.gaps import (
@@ -640,21 +635,8 @@ class TestScanThresholdAndWork:
         assert len(walks) == 1  # s_star's own, before any profile is scanned
 
 
-PNEXP_3Q_MIPS = {"qa": (3, 3), "qb": (1, 3), "qc": (2, 2), "qd": (1, 2)}
-
-
-def test_three_query_pnexp_gap_is_pinned():
-    # The 3-query P^NEXP script: qa first, then qb or qc, then qd; the answer
-    # is the parity of the three bits.
-    script = OracleScript(
-        first="qa",
-        next_query={(q, b): "qd" for q in ("qb", "qc") for b in (0, 1)}
-        | {("qa", 1): "qb", ("qa", 0): "qc"},
-        output={(a, b, c): a ^ b ^ c for a in (0, 1) for b in (0, 1) for c in (0, 1)},
-        num_queries=3,
-    )
-    mips = {q: fixed_soundness_mip(*kn) for q, kn in PNEXP_3Q_MIPS.items()}
-    build = build_pnexp_protocol(script, mips)
+def test_three_query_pnexp_gap_is_pinned(pnexp_three_query):
+    build = pnexp_three_query
     game = build.game
     assert (len(game.nodes), profile_space_size(game), build.scale) == (509, 65536, F(1, 3))
     report = verify_utility_gap(game, build.honest, F(100) / build.scale, build.correct_bit)
