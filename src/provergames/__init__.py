@@ -1,5 +1,8 @@
 """Exact-rational analysis of payment games between a verifier and non-cooperative provers."""
 
+# The two largest modules load first: the bytecode compiler's scratch memory
+# for later, smaller modules then fits in what theirs freed, which keeps the
+# process's peak resident memory lower when no bytecode cache is written.
 from .trees import (
     NATURE,
     DecisionNode,
@@ -19,6 +22,19 @@ from .trees import (
     reach_probability,
     utility_vector,
     validate_game,
+)
+from .protocols import (
+    MipBlackbox,
+    MripSpec,
+    OracleScript,
+    ProtocolGame,
+    build_mrip_simulation,
+    build_nexp_protocol,
+    build_pnexp_protocol,
+    build_three_coloring,
+    fixed_soundness_mip,
+    honest_strategy,
+    toy_clause_variable_mip,
 )
 from .beliefs import (
     BeliefSystem,
@@ -58,19 +74,6 @@ from .gaps import (
     splice,
     subinterval_profile_check,
     verify_utility_gap,
-)
-from .protocols import (
-    MipBlackbox,
-    MripSpec,
-    OracleScript,
-    ProtocolGame,
-    build_mrip_simulation,
-    build_nexp_protocol,
-    build_pnexp_protocol,
-    build_three_coloring,
-    fixed_soundness_mip,
-    honest_strategy,
-    toy_clause_variable_mip,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

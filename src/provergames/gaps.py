@@ -16,14 +16,20 @@ with V the continuation values. The scans read it off the integer core of
 `trees` (`_IntCore`): at a reached m the difference of the two profiles'
 fields is D*reach_s(m) times the difference of the values, so each loss is
 an int over D, and a threshold test cross-multiplies it with 1/alpha.
-`verify_utility_gap` walks the choice-index tuples of `profile_choices`: per
-profile one reach walk, and only for a profile reaching a wrong-bit terminal
-one bottom-up value pass; `s_star` costs one of each per call. A `Fraction`
-is built only for a reported loss. `splice` stays the literal oracle.
+
+`verify_utility_gap` scans reach classes (`_IntCore.reach_classes`), not
+profiles: profiles that choose alike at every set play reaches share their
+reach, answer bit and reached values, so each class reaching a wrong-bit
+terminal costs one bottom-up value pass, which prices its cheapest member and
+also finds the first such member in `all_profiles` order. `s_star` costs one
+pass per call. The profile cap still bounds the whole profile space, checked
+at the call. A `Fraction` is built only for a reported loss. `splice` stays
+the literal oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -35,7 +41,7 @@ from .trees import (
     StrategyProfile,
     TerminalNode,
     _IntCore,
-    profile_choices,
+    check_profile_cap,
     reach_map,
     require_total_profile,
     utility_vector,
@@ -90,7 +96,7 @@ class _SpliceScan:
 
     def __init__(self, game: GameTree, s_star: StrategyProfile):
         self.core = core = _IntCore(game)
-        star_choice = core.choices(s_star)
+        self.star_choice = star_choice = core.choices(s_star)
         self.star, self.star_reached = core.evaluate(star_choice)
         set_no = {iset: k for k, iset in enumerate(core.sets)}
         self.plan = []  # (subform, frontier, actors, (set, owner, s_star action) inside)
@@ -131,6 +137,40 @@ class _SpliceScan:
             gain = sum(star[m] for m in entries)
             base = sum(value[m] for m in entries)
             yield sf, actors, deviators, tuple(field(gain, j) - field(base, j) for j in provers)
+
+    def row_max(
+        self, choice: list[int], value: list[int], reached: bytearray
+    ) -> tuple[int, str, int]:
+        """(loss, subform key, prover) of the largest splice loss in the row of
+        `choice`, the first such pair in canonical order."""
+        best: tuple | None = None
+        for sf, _, deviators, loss in self.losses(choice, value, reached):
+            for j in deviators:
+                if best is None or loss[j - 1] > best[0]:
+                    best = (loss[j - 1], sf.key, j)
+        return best
+
+    def first_minimiser(
+        self, choice: list[int], fixed: bytearray, value: list[int], reached: bytearray, low: int
+    ) -> list[int]:
+        """The first profile in `all_profiles` order, in the reach class of
+        `choice` (`s_star`'s action at every set with `fixed` 0), whose row
+        maximum is the class minimum `low`. A free set taking another action
+        than `s_star`'s adds its owner as a deviator to each subform holding
+        it, and only the subforms the class enters count, so action 0 is free
+        at a set exactly when its owner's loss is at most `low` in each of
+        them, independently of the other sets."""
+        field, star = self.core.field, self.star
+        blocked = set()
+        for _, frontier, _, inside in self.plan:
+            free = [(k, owner) for k, owner, a in inside if a and not fixed[k]]
+            entries = [m for m in frontier if reached[m]]
+            if not free or not entries:
+                continue
+            gain = sum(star[m] for m in entries)
+            base = sum(value[m] for m in entries)
+            blocked.update(k for k, j in free if field(gain, j) - field(base, j) > low)
+        return [a if fixed[k] or k in blocked else 0 for k, a in enumerate(choice)]
 
 
 @dataclass(frozen=True)
@@ -202,7 +242,8 @@ def verify_utility_gap(
     correct_bit: int,
     cap: int | None = None,
 ) -> GapReport:
-    """Scan every pure profile with a wrong answer bit for a gap witness.
+    """Scan every pure profile with a wrong answer bit, one reach class at a
+    time, for a gap witness.
 
     The measured gap is the minimum over wrong profiles of the best available
     splice loss; the protocol has the claimed gap iff that minimum exceeds
@@ -211,7 +252,7 @@ def verify_utility_gap(
     if correct_bit not in (0, 1):
         raise GameError(f"correct_bit must be 0 or 1, got {correct_bit}")
     threshold = gap_threshold(alpha)
-    profiles = profile_choices(game, DEFAULT_PROFILE_CAP if cap is None else cap)
+    check_profile_cap(game, DEFAULT_PROFILE_CAP if cap is None else cap)
     scan = _SpliceScan(game, s_star)
     core = scan.core
     wrong_bit = [
@@ -222,23 +263,23 @@ def verify_utility_gap(
     if any(map(scan.star_reached.__getitem__, wrong_bit)):
         raise GameError(f"s_star reaches answer bit {1 - correct_bit}, not {correct_bit}")
     n, d = scan.bar(threshold)
+    sizes = [len(iset.actions) for iset in core.sets]
     verdict = True
     wrong = 0
     measured: tuple | None = None  # (loss, subform key, prover, choice)
-    for choice in profiles:
-        reached = core.reach(choice)
+    for choice, reached, fixed in core.reach_classes(scan.star_choice):
         if not any(map(reached.__getitem__, wrong_bit)):
             continue
-        wrong += 1
-        best: tuple | None = None
-        for sf, _, deviators, loss in scan.losses(choice, core.values(choice), reached):
-            for j in deviators:
-                if best is None or loss[j - 1] > best[0]:
-                    best = (loss[j - 1], sf.key, j)
-        if best[0] * d <= n:
+        wrong += math.prod(size for size, f in zip(sizes, fixed) if not f)
+        # Free sets at `s_star`'s action add no deviator, and a deviator only
+        # adds a term to the row's maximum, so this row is the class minimum.
+        value = core.values(choice)
+        low = scan.row_max(choice, value, reached)[0]
+        if low * d <= n:
             verdict = False
-        if measured is None or best[0] < measured[0]:
-            measured = (*best, choice)
+        first = scan.first_minimiser(choice, fixed, value, reached, low)
+        if measured is None or (low, first) < (measured[0], measured[3]):
+            measured = (*scan.row_max(first, value, reached), first)
     if measured is None:
         return GapReport(verdict, Fraction(alpha), threshold, wrong, None, None)
     loss, key, prover, choice = measured

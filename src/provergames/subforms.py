@@ -309,19 +309,24 @@ def _prover_classes(
 ) -> list[_Class]:
     """SSE continuations at a prover node: a class below one action survives
     when every other action's worst continuation for the owner (the threat
-    played there) pays the owner no more than the class does."""
+    played there) pays the owner no more than the class does.
+
+    That is one cutoff, the largest threat of all: a class below the action
+    holding it pays at least its own action's threat, which is that largest
+    one, so the test against every other action is the test against it."""
     own = node.player - 1
     threats = []
     for lst in kids:
         worst = min(cls.value[own] for cls in lst)
         threats.append((worst, next(cls for cls in lst if cls.value[own] == worst)))
+    cutoff = max(worst for worst, _ in threats)
     set_key = game.set_by_history[h].key
     out: list[_Class] = []
     seen = set()
     for idx, a in enumerate(node.actions):
         others = [t for b, t in enumerate(threats) if b != idx]
         for cls in kids[idx]:
-            if any(worst > cls.value[own] for worst, _ in others):
+            if cutoff > cls.value[own]:
                 continue
             if (cls.value, cls.answers) in seen:
                 continue

@@ -51,14 +51,14 @@ def history_from_path(path: str) -> History:
     return tuple(path.split("/")) if path else ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionNode:
     player: int
     actions: tuple[str, ...]
     dist: tuple[Fraction, ...] | None = None  # present iff player is Nature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TerminalNode:
     payments: tuple[Fraction, ...]  # indexed by prover-1
     answer_bit: int
@@ -67,17 +67,17 @@ class TerminalNode:
 Node = Union[DecisionNode, TerminalNode]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationSet:
     """A prover's indistinguishability class; the unit of strategy assignment."""
 
     owner: int
     members: tuple[History, ...]  # sorted, nonempty
     actions: tuple[str, ...]
+    key: str = field(init=False, repr=False, compare=False)  # the members' paths
 
-    @cached_property
-    def key(self) -> str:
-        return "|".join(sorted(path_of(h) for h in self.members))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", "|".join(sorted(path_of(h) for h in self.members)))
 
     def __hash__(self) -> int:
         return hash((self.owner, self.members, self.actions))
@@ -623,6 +623,36 @@ class _IntCore:
                 stack.append(self.kids[i][choice[k]])
         return reached
 
+    def reach_classes(self, default: list[int]) -> Iterator[tuple[list[int], bytearray, bytearray]]:
+        """Every reach class once, as (choice, reached, fixed). A class is
+        one assignment of actions to the sets that play reaches, so its
+        profiles share `reach` and the values of every reached node. The
+        walk is `reach` that branches where play first enters a set with
+        two or more actions; `fixed[k]` is 1 at the sets the class reaches,
+        and every other set keeps its action from `default`. Each profile
+        lies in exactly one class, of size the product of the action counts
+        of its sets with `fixed` 0."""
+        kids, set_of = self.kids, self.set_of
+        pending = [(list(default), bytearray(len(self.sets)), bytearray(len(kids)), [0])]
+        while pending:
+            choice, fixed, reached, stack = pending.pop()
+            while stack:
+                i = stack.pop()
+                reached[i] = 1
+                k = set_of[i]
+                if k < 0:
+                    stack.extend(kids[i])
+                    continue
+                if not fixed[k]:
+                    fixed[k] = 1
+                    for a in range(len(kids[i]) - 1, 0, -1):
+                        branch = choice[:]
+                        branch[k] = a
+                        pending.append((branch, fixed[:], reached[:], [*stack, kids[i][a]]))
+                    choice[k] = 0
+                stack.append(kids[i][choice[k]])
+            yield choice, reached, fixed
+
     def posterior(self, k: int, live: tuple[int, ...]) -> tuple[tuple, int]:
         """Bayes belief over the members of set `k` when exactly the members at
         positions `live` are reached, and the common denominator D*sum W'."""
@@ -734,13 +764,6 @@ def all_profiles(game: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[Str
     keys = [iset.key for iset in sets]  # already in key order
     combos = itertools.product(*(iset.actions for iset in sets))
     return (StrategyProfile(tuple(zip(keys, combo))) for combo in combos)
-
-
-def profile_choices(game: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[tuple[int, ...]]:
-    """`all_profiles` as action-index tuples in `sorted_sets` order, the form
-    `_IntCore` evaluates: same order, same count, same gate at the call."""
-    check_profile_cap(game, cap)
-    return itertools.product(*(range(len(iset.actions)) for iset in game.sorted_sets))
 
 
 def profile_space_size(game: GameTree) -> int:

@@ -31,7 +31,6 @@ from provergames.trees import (
     all_profiles,
     continuation_values,
     make_game,
-    profile_choices,
     profile_space_size,
     reach_map,
     require_total_profile,
@@ -421,11 +420,10 @@ class TestEnumerate:
         [
             # No next(): the gate raises at the call, before any profile.
             lambda b: all_profiles(b.game, 1000),
-            lambda b: profile_choices(b.game, 1000),
             lambda b: enumerate_sse(b.game, cap=1000),
             lambda b: verify_utility_gap(b.game, b.honest, 1, b.correct_bit, cap=1000),
         ],
-        ids=["all_profiles", "profile_choices", "enumerate_sse", "verify_utility_gap"],
+        ids=["all_profiles", "enumerate_sse", "verify_utility_gap"],
     )
     def test_cap_exceeded_reports_count(self, k3, search):
         count = 2 * 27 * 4**27

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -35,7 +36,6 @@ from provergames.trees import (
     continuation_values,
     expected_utility,
     make_game,
-    profile_choices,
     profile_space_size,
     reach_map,
     utility_vector,
@@ -563,6 +563,107 @@ class TestReferenceCampaign:
         assert _same_reports(build.game, build.honest) >= len(CAMPAIGN_ALPHAS)
 
 
+def wrong_reach_classes(game, correct_bit):
+    """(classes, profiles) answering the wrong bit, by literal enumeration: a
+    class is the distinct (set key, action) pairs at the sets a profile reaches
+    under `reach_map`."""
+    sets = game.set_by_history
+    classes, wrong = set(), 0
+    for s in all_profiles(game):
+        reach = reach_map(game, s)
+        if all(game.nodes[t].answer_bit == correct_bit for t in game.terminals if reach[t]):
+            continue
+        wrong += 1
+        keys = {sets[h].key for h in sets if reach[h]}
+        classes.add(tuple(c for c in s.choices if c[0] in keys))
+    return len(classes), wrong
+
+
+def _count_value_passes(monkeypatch):
+    passes = []
+    advance = _IntCore.advance
+
+    def counted(self, value, choice, steps):
+        passes.append(len(steps))
+        return advance(self, value, choice, steps)
+
+    monkeypatch.setattr(_IntCore, "advance", counted)
+    return passes
+
+
+class TestReachClasses:
+    def test_classes_partition_the_profile_space(self):
+        rng = random.Random(7)
+        games = 0
+        for game, _ in corpus_games(200):
+            if profile_space_size(game) > 2000:
+                continue
+            for g in (game, prune_nature(game, random_profile(rng, game), 1, 1)[0]):
+                core = _IntCore(g)
+                sizes = [len(iset.actions) for iset in core.sets]
+                default = core.choices(random_profile(rng, g))
+                classes = [
+                    (list(choice), bytes(reached), bytes(fixed))
+                    for choice, reached, fixed in core.reach_classes(default)
+                ]
+                total = sum(
+                    math.prod(n for n, f in zip(sizes, fixed) if not f) for _, _, fixed in classes
+                )
+                assert total == profile_space_size(g)
+                for s in all_profiles(g):
+                    choice = core.choices(s)
+                    homes = [
+                        reached
+                        for c, reached, fixed in classes
+                        if all(a == b for a, b, f in zip(c, choice, fixed) if f)
+                    ]
+                    assert homes == [bytes(core.reach(choice))]
+            games += 1
+        assert games >= 40
+
+    def test_free_set_takes_action_zero(self):
+        # s_star plays "c"; "a" answers wrong and leaves the set at "b" free:
+        # its "p" (not s_star's "q") adds no term above the class's loss 1.
+        # The one-action set below "b/q" counts with a factor of 1.
+        nodes = {
+            (): DecisionNode(1, ("a", "b", "c")),
+            ("a",): TerminalNode((F(0),), 0),
+            ("b",): DecisionNode(1, ("p", "q")),
+            ("b", "p"): TerminalNode((F(0),), 1),
+            ("b", "q"): DecisionNode(1, ("z",)),
+            ("b", "q", "z"): TerminalNode((F(0),), 1),
+            ("c",): TerminalNode((F(1),), 1),
+        }
+        game = make_game(1, nodes)
+        s_star = StrategyProfile.from_dict({"": "c", "b": "q", "b/q": "z"})
+        report = verify_utility_gap(game, s_star, 2, 1)
+        assert report == reference_verify_utility_gap(game, s_star, 2, 1)
+        assert report.wrong_profiles == 2
+        assert report.worst.profile == (("", "a"), ("b", "p"), ("b/q", "z"))
+        assert report.worst.max_loss == 1
+
+    def test_costly_set_keeps_s_star_action(self):
+        # Prover 1 gains 1/2 by answering wrong, so the class's loss is -1/2;
+        # prover 2's "e" at the unreached "a/c" would add a loss of 0 in the
+        # whole game and in the subform at "a", so "f" stays.
+        nodes = {
+            (): DecisionNode(1, ("a", "b")),
+            ("a",): DecisionNode(2, ("c", "d")),
+            ("a", "c"): DecisionNode(2, ("e", "f")),
+            ("a", "c", "e"): TerminalNode((F(0), F(0)), 1),
+            ("a", "c", "f"): TerminalNode((F(0), F(0)), 1),
+            ("a", "d"): TerminalNode((F(1, 2), F(0)), 0),
+            ("b",): TerminalNode((F(0), F(0)), 1),
+        }
+        game = make_game(2, nodes)
+        s_star = StrategyProfile.from_dict({"": "b", "a": "d", "a/c": "f"})
+        report = verify_utility_gap(game, s_star, 2, 1)
+        assert report == reference_verify_utility_gap(game, s_star, 2, 1)
+        assert report.wrong_profiles == 2
+        assert report.worst.profile == (("", "a"), ("a", "d"), ("a/c", "f"))
+        assert report.measured_gap == F(-1, 2) and not report.verdict
+
+
 class TestScanThresholdAndWork:
     def _tie_game(self):
         # Nature plays "x" with 1/3; the prover's "b" there drops 6/5, so the
@@ -596,28 +697,15 @@ class TestScanThresholdAndWork:
         assert check_gap_closeness(game, s, s_star, F(12, 5))
 
     @pytest.mark.parametrize("name", ["pnexp_toy", "mrip_toy", "nexp_unsat_third"])
-    def test_one_value_pass_per_wrong_profile(self, request, monkeypatch, name):
+    def test_one_value_pass_per_wrong_class(self, request, monkeypatch, name):
         build = request.getfixturevalue(name)
-        passes = []
-        advance = _IntCore.advance
-
-        def counted(self, value, choice, steps):
-            passes.append(len(steps))
-            return advance(self, value, choice, steps)
-
-        monkeypatch.setattr(_IntCore, "advance", counted)
+        passes = _count_value_passes(monkeypatch)
         report = verify_utility_gap(build.game, build.honest, 2, build.correct_bit)
-        assert 0 < report.wrong_profiles < profile_space_size(build.game)
-        assert len(passes) == report.wrong_profiles + 1  # +1 for s_star
-
-    def test_profile_choices_follow_all_profiles(self):
-        for game, _ in corpus_games(50):
-            sets = game.sorted_sets
-            expected = [
-                tuple(iset.actions.index(a) for iset, (_, a) in zip(sets, s.choices))
-                for s in all_profiles(game)
-            ]
-            assert list(profile_choices(game)) == expected
+        classes, wrong = wrong_reach_classes(build.game, build.correct_bit)
+        assert 0 < report.wrong_profiles == wrong < profile_space_size(build.game)
+        assert len(passes) == classes + 1  # +1 for s_star
+        if name == "pnexp_toy":
+            assert (classes, wrong) == (52, 2048)
 
     def test_star_answering_the_wrong_bit_fails_fast(self, nexp_unsat_third, monkeypatch):
         build = nexp_unsat_third
@@ -635,12 +723,14 @@ class TestScanThresholdAndWork:
         assert len(walks) == 1  # s_star's own, before any profile is scanned
 
 
-def test_three_query_pnexp_gap_is_pinned(pnexp_three_query):
+def test_three_query_pnexp_gap_is_pinned(pnexp_three_query, monkeypatch):
     build = pnexp_three_query
     game = build.game
     assert (len(game.nodes), profile_space_size(game), build.scale) == (509, 65536, F(1, 3))
+    passes = _count_value_passes(monkeypatch)
     report = verify_utility_gap(game, build.honest, F(100) / build.scale, build.correct_bit)
     assert report.verdict and report.wrong_profiles == 32768
+    assert len(passes) == 504 + 1  # wrong reach classes, by `wrong_reach_classes`, + s_star
     assert report.measured_gap == report.worst.max_loss == F(1, 18)
     worst = report.worst
     assert worst.witness_prover == 2

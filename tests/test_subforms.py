@@ -16,6 +16,7 @@ from provergames.subforms import (
     _Class,
     _merge_answers,
     _perfect_info_dominant,
+    _prover_classes,
     actors_in,
     conditional_game,
     dominant_sse_set,
@@ -646,6 +647,27 @@ class TestFindDominant:
             _perfect_info_dominant(game, 1)
         with pytest.raises(CapExceededError):
             layered_pi_dominant(game, 1)
+
+    def test_tied_largest_threats(self):
+        # "a" and "b" both threaten 1/4, "c" threatens 0: every class below
+        # "a" and "b" pays at least 1/4 and stays, and below "c" only 1/3 does.
+        nodes = {(): DecisionNode(1, ("a", "b", "c"))}
+        nodes |= {(a,): TerminalNode((F(0),), 1) for a in "abc"}
+        game = make_game(1, nodes)
+        kids = [
+            [(F(1, 4), 0), (F(1, 2), 0)],
+            [(F(1, 4), 1), (F(3, 4), 1)],
+            [(F(0), 0), (F(1, 5), 1), (F(1, 3), 1)],
+        ]
+        kids = [[_Class((v,), ((bit, F(1)),), ()) for v, bit in lst] for lst in kids]
+        out = _prover_classes(game, (), game.nodes[()], kids)
+        assert [(c.value[0], c.rep) for c in out] == [
+            (F(1, 4), (("", "a"),)),
+            (F(1, 2), (("", "a"),)),
+            (F(1, 4), (("", "b"),)),
+            (F(3, 4), (("", "b"),)),
+            (F(1, 3), (("", "c"),)),
+        ]
 
     def test_cap_error_on_big_imperfect_info(self):
         # Pooled sets and an over-cap profile space: no fast path applies.

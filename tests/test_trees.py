@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -272,6 +275,34 @@ class TestConditionalUtility:
         s = StrategyProfile.from_dict({iset.key: "l"})
         with pytest.raises(BeliefError):
             conditional_utility(game, s, 1, (iset, {("h",): F(1, 3)}))
+
+
+class TestImmutableValues:
+    def test_pruned_game_round_trips(self):
+        # The slotted node and set classes keep pickling, copying and `replace`.
+        rng = random.Random(31)
+        game = random_game(rng, max_nodes=60, nature_weight=0.5)
+        pruned, _ = prune_nature(game, random_profile(rng, game), 2, 1)
+        nature = [n for n in pruned.nodes.values() if isinstance(n, DecisionNode) and n.dist]
+        assert nature and any(isinstance(n, TerminalNode) for n in pruned.nodes.values())
+        keys = [iset.key for iset in pruned.info_sets]
+        for copied in (pickle.loads(pickle.dumps(pruned)), copy.deepcopy(pruned)):
+            assert copied == pruned and copied.nodes is not pruned.nodes
+            assert [iset.key for iset in copied.info_sets] == keys
+            assert utility_vector(copied, random_profile(random.Random(5), copied)) == (
+                utility_vector(pruned, random_profile(random.Random(5), pruned))
+            )
+        assert dataclasses.replace(pruned) == pruned
+        node = nature[0]
+        assert dataclasses.replace(node, dist=node.dist) == node
+        flipped = dataclasses.replace(node, dist=node.dist[::-1])
+        assert flipped.dist == node.dist[::-1] and flipped.actions == node.actions
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.player = 1
+        iset = coin_game().info_sets[0]  # members h and t
+        first = dataclasses.replace(iset, members=iset.members[:1])
+        assert first.key == path_of(iset.members[0]) and first != iset
+        assert dataclasses.replace(iset) == iset and repr(iset).count("key") == 0
 
 
 class TestInvariants:
