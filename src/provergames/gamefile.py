@@ -112,7 +112,10 @@ def game_to_doc(game: GameTree, beliefs: BeliefSystem | None = None) -> dict:
             key: strs(probs) for key, probs in beliefs.distributions
         }
     if game.meta:
-        doc["meta"] = _plain(game.meta)
+        try:
+            doc["meta"] = _plain(game.meta)
+        except RecursionError:  # a `meta` that parsed can still nest past `_plain`'s limit
+            raise GameFileError("meta nested too deeply to render") from None
     return doc
 
 
@@ -208,6 +211,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise GameFileError("document nested too deeply to parse") from None
 
 
 def save_game(game: GameTree, fp: IO[str], beliefs: BeliefSystem | None = None) -> None:

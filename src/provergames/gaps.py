@@ -46,7 +46,7 @@ from .trees import (
     require_total_profile,
     utility_vector,
 )
-from .subforms import Subform, dominant_sse_set, find_subforms, sets_in
+from .subforms import Subform, _compiled, dominant_sse_set, sets_in
 
 
 def answer_bit_distribution(
@@ -96,16 +96,9 @@ class _SpliceScan:
 
     def __init__(self, game: GameTree, s_star: StrategyProfile):
         self.core = core = _IntCore(game)
-        self.star_choice = star_choice = core.choices(s_star)
-        self.star, self.star_reached = core.evaluate(star_choice)
-        set_no = {iset: k for k, iset in enumerate(core.sets)}
-        self.plan = []  # (subform, frontier, actors, (set, owner, s_star action) inside)
-        for sf in find_subforms(game):
-            members = ((),) if sf.root_set is None else sf.root_set.members
-            frontier = [m for m in members if not any(o != m and m[: len(o)] == o for o in members)]
-            inside = [(set_no[i], i.owner, star_choice[set_no[i]]) for i in sets_in(game, sf)]
-            actors = tuple(sorted({owner for _, owner, _ in inside}))
-            self.plan.append((sf, [core.index[m] for m in frontier], actors, inside))
+        self.star_choice = core.choices(s_star)
+        self.star, self.star_reached = core.evaluate(self.star_choice)
+        self.plan = _compiled(core)
 
     def evaluate(self, s: StrategyProfile) -> tuple[list[int], list[int], bytearray]:
         """`s` as set choices, and the core's values and reached flags under it."""
@@ -125,13 +118,13 @@ class _SpliceScan:
         D times prover j's utility under the splice minus under the profile,
         an int. The frontier members reached are disjoint histories, so their
         packed values sum without carrying between fields."""
-        field, star = self.core.field, self.star
+        field, star, star_choice = self.core.field, self.star, self.star_choice
         provers = range(1, self.core.game.provers + 1)
-        for sf, frontier, actors, inside in self.plan:
+        for sf, _, frontier, inside, actors in self.plan:
             entries = [m for m in frontier if reached[m]]
             if not entries:
                 continue
-            deviators = sorted({owner for k, owner, a in inside if choice[k] != a})
+            deviators = sorted({owner for k, owner in inside if choice[k] != star_choice[k]})
             if not deviators:  # the splice is the profile itself
                 continue
             gain = sum(star[m] for m in entries)
@@ -160,10 +153,10 @@ class _SpliceScan:
         it, and only the subforms the class enters count, so action 0 is free
         at a set exactly when its owner's loss is at most `low` in each of
         them, independently of the other sets."""
-        field, star = self.core.field, self.star
+        field, star, star_choice = self.core.field, self.star, self.star_choice
         blocked = set()
-        for _, frontier, _, inside in self.plan:
-            free = [(k, owner) for k, owner, a in inside if a and not fixed[k]]
+        for _, _, frontier, inside, _ in self.plan:
+            free = [(k, owner) for k, owner in inside if star_choice[k] and not fixed[k]]
             entries = [m for m in frontier if reached[m]]
             if not free or not entries:
                 continue

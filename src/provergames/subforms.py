@@ -3,12 +3,14 @@
 A subform is an information set together with every history following it,
 subject to closure: any information set touching those histories must lie
 wholly inside them, so the players acting there share no information asymmetry
-with the outside. The whole game always counts as a subform. Dominance between
-equilibria is decided by induction on subform height: on height-1 subforms a
-dominant profile must weakly dominate every SSE, on taller ones every SSE that
-is itself dominant on all strictly lower subforms. The induction compiles one
-integer core (`trees._IntCore`) and evaluates each SSE on it once; Nature
-weights cancel from every comparison, as they do in `is_sse`.
+with the outside. The whole game always counts as a subform. `_subforms` finds
+them in one walk down from each set, and `_compiled` puts them on an integer
+core (`trees._IntCore`) once for both readers: the dominance induction here
+and the splice scans of `gaps`. Dominance between equilibria is decided by
+induction on subform height: on height-1 subforms a dominant profile must
+weakly dominate every SSE, on taller ones every SSE that is itself dominant on
+all strictly lower subforms. The induction evaluates each SSE on the core
+once; Nature weights cancel from every comparison, as they do in `is_sse`.
 """
 
 from __future__ import annotations
@@ -47,45 +49,62 @@ class Subform:
         return WHOLE_GAME_KEY if self.root_set is None else self.root_set.key
 
 
+def _subforms(game: GameTree) -> list[tuple]:
+    """(subform, frontier, inside sets) per subform, sorted by (height, key).
+
+    Each set is walked down from its frontier, the members below no other
+    member, zero-probability Nature edges included. It roots a subform when
+    every set the walk meets lies wholly inside the walk: its inside sets."""
+    nodes, set_of = game.nodes, game.set_by_history.get
+    subs = []
+    for iset in game.sorted_sets:
+        if iset.members == ((),):
+            continue  # the whole game, added below
+        following, frontier, met, height = set(), [], set(), 0
+        for m in sorted(iset.members):  # a member below another sorts after it
+            if m in following:
+                continue
+            frontier.append(m)
+            stack = [m]
+            while stack:
+                following.add(h := stack.pop())
+                node = nodes[h]
+                if isinstance(node, TerminalNode):
+                    height = max(height, len(h) - len(m))
+                else:
+                    met.add(set_of(h))  # None at Nature nodes
+                    stack.extend(h + (a,) for a in node.actions)
+        met.discard(None)
+        if all(h in following for other in met for h in other.members):
+            inside = tuple(sorted(met, key=lambda i: i.key))
+            subs.append((Subform(iset, frozenset(following), height), tuple(frontier), inside))
+    subs.append((Subform(None, frozenset(nodes), game.height), ((),), game.sorted_sets))
+    subs.sort(key=lambda entry: (entry[0].height, entry[0].key))
+    return subs
+
+
 def find_subforms(game: GameTree) -> list[Subform]:
     """All subforms, sorted by height ascending (whole game last at its height)."""
-    all_hist = frozenset(game.nodes)
-    terminals = game.terminals
-    subs: list[Subform] = []
-    for iset in game.sorted_sets:
-        members = iset.members
-        following = frozenset(
-            h
-            for h in all_hist
-            if any(h[: len(m)] == m for m in members)
-        )
-        closed = all(
-            set(other.members) <= following or not (set(other.members) & following)
-            for other in game.info_sets
-        )
-        if not closed:
-            continue
-        if following == all_hist and members == ((),):
-            continue  # coincides with the whole-game subform added below
-        height = 0
-        for t in terminals:
-            if t in following:
-                m = next(m for m in members if t[: len(m)] == m)
-                height = max(height, len(t) - len(m))
-        subs.append(Subform(iset, following, height))
-    subs.append(Subform(None, all_hist, game.height))
-    subs.sort(key=lambda sf: (sf.height, sf.key))
-    return subs
+    return [sf for sf, _, _ in _subforms(game)]
+
+
+def _compiled(core: _IntCore) -> list[tuple]:
+    """`_subforms` on the core's indices, as (subform, root members, frontier,
+    inside sets as (`core.sets` index, owner), actors: their owners). The
+    whole game's one member is the root, its frontier."""
+    index, set_no = core.index, {iset: k for k, iset in enumerate(core.sets)}
+    out = []
+    for sf, frontier, inside in _subforms(core.game):
+        members = frontier if sf.root_set is None else sf.root_set.members
+        sets = tuple((set_no[i], i.owner) for i in inside)
+        actors = tuple(sorted({owner for _, owner in sets}))
+        out.append((sf, [index[h] for h in members], [index[h] for h in frontier], sets, actors))
+    return out
 
 
 def actors_in(game: GameTree, sf: Subform) -> tuple[int, ...]:
     """Provers owning an information set wholly inside the subform."""
-    owners = {
-        iset.owner
-        for iset in game.info_sets
-        if set(iset.members) <= sf.histories
-    }
-    return tuple(sorted(owners))
+    return tuple(sorted({iset.owner for iset in sets_in(game, sf)}))
 
 
 def sets_in(game: GameTree, sf: Subform) -> tuple[InformationSet, ...]:
@@ -133,19 +152,11 @@ def conditional_game(
 
 
 def _dominates(
-    core: _IntCore,
-    d1: tuple[list[int], bytearray],
-    d2: tuple[list[int], bytearray],
-    sf: Subform,
-    actors: tuple[int, ...],
+    core: _IntCore, d1: tuple, d2: tuple, members: Sequence[int], actors: tuple[int, ...]
 ) -> bool:
-    """Dominance on the subform, read off two `core.evaluate` results."""
-    if not actors:
-        return True
+    """Dominance on the subform with root-set `members` (core indices), read
+    off two `core.evaluate` results."""
     (v1, r1), (v2, r2), field = d1, d2, core.field
-    if sf.root_set is None:
-        return all(field(v1[0], j) >= field(v2[0], j) for j in actors)
-    members = [core.index[h] for h in sf.root_set.members]
     live1 = [m for m in members if r1[m]]
     live2 = [m for m in members if r2[m]]
     if live1 and live2:
@@ -172,7 +183,8 @@ def dominates_on_subform(
     core = _IntCore(game)
     d1 = core.evaluate(core.choices(s))
     d2 = core.evaluate(core.choices(s2))
-    return _dominates(core, d1, d2, sf, actors_in(game, sf))
+    members = [core.index[h] for h in (((),) if sf.root_set is None else sf.root_set.members)]
+    return _dominates(core, d1, d2, members, actors_in(game, sf))
 
 
 @dataclass(frozen=True)
@@ -195,37 +207,25 @@ def _layered_dominant(
     sse_set: Sequence[StrategyProfile],
     watch: StrategyProfile | None = None,
 ) -> tuple[list[StrategyProfile], list[SubformComparison]]:
-    subs = find_subforms(game)
-    actors = {sf.key: actors_in(game, sf) for sf in subs}
     core = _IntCore(game)
+    subs = _compiled(core)
     data = [core.evaluate(core.choices(s)) for s in sse_set]
-    heights = sorted({sf.height for sf in subs})
     current = list(range(len(sse_set)))
     trace: list[SubformComparison] = []
-    for k in heights:
-        comp = list(current)
-        layer = [sf for sf in subs if sf.height == k]
-        watching = watch is not None and any(sse_set[i] == watch for i in current)
+    for k in sorted({sf.height for sf, *_ in subs}):
+        layer = [entry for entry in subs if entry[0].height == k]
         survivors = []
         for i in current:
-            ok = True
-            for sf in layer:
-                failed = tuple(
-                    j
-                    for j in comp
-                    if not _dominates(core, data[i], data[j], sf, actors[sf.key])
-                )
-                if watch is not None and sse_set[i] == watch:
-                    trace.append(
-                        SubformComparison(sf.key, k, len(comp), failed, True)
-                    )
-                if failed:
-                    ok = False
-            if ok:
+            rows = [
+                (sf, tuple(j for j in current if not _dominates(core, data[i], data[j], m, a)))
+                for sf, m, _, _, a in layer
+            ]
+            if sse_set[i] == watch:
+                trace += [SubformComparison(sf.key, k, len(current), f, True) for sf, f in rows]
+            if not any(f for _, f in rows):
                 survivors.append(i)
-        if watch is not None and not watching:
-            for sf in layer:
-                trace.append(SubformComparison(sf.key, k, len(comp), (), False))
+        if watch is not None and all(sse_set[i] != watch for i in current):
+            trace += [SubformComparison(sf.key, k, len(current), (), False) for sf, *_ in layer]
         current = survivors
     return [sse_set[i] for i in current], trace
 

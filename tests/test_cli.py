@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import provergames
+from provergames import gamefile
 from provergames.cli import main, make_parser
 
 
@@ -413,6 +414,43 @@ class TestInputBoundary:
             main(["validate", str(self.write(tmp_path)), "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+class TestNestingLimit:
+    """A document nested past the interpreter's recursion limit is an input
+    error, whether it is read or, through a game's `meta`, written."""
+
+    DEEP = "[" * 200_000 + "]" * 200_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("validate", "{deep}"), ("check-sse", "{game}", "{deep}"), ("build", "pnexp", "{deep}")],
+    )
+    def test_deep_input_exits_two(self, tmp_path, capsys, argv):
+        deep, game = tmp_path / "deep.json", tmp_path / "ok.game"
+        deep.write_text(self.DEEP)
+        game.write_text(json.dumps(TestInputBoundary.GAME))
+        code, out, err = run(capsys, *(a.format(deep=deep, game=game) for a in argv))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: document nested too deeply to parse"]
+
+    def test_deep_meta_is_refused_before_the_pruned_game_is_written(self, tmp_path, capsys):
+        # 700 levels parse, but writing the game back out recurses deeper.
+        build = provergames.build_three_coloring(2, [(0, 1)])
+        doc = gamefile.game_to_doc(build.game)
+        deep: dict = {}
+        for _ in range(700):
+            deep = {"x": deep}
+        doc["meta"] = {**doc.get("meta", {}), "deep": deep}
+        game, honest, pruned = (tmp_path / name for name in ("g.json", "h.json", "p.json"))
+        game.write_text(json.dumps(doc))
+        honest.write_text(gamefile.dumps(gamefile.strategy_to_doc(build.honest)))
+        code, out, err = run(
+            capsys, "prune", game, honest, "--alpha", "1", "--prover", "1", "--out", pruned
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: meta nested too deeply to render"]
+        assert not pruned.exists()
 
 
 class TestRationalFlags:

@@ -4,7 +4,7 @@ import io
 import json
 import random
 import re
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from fractions import Fraction as F
 
 import pytest
@@ -97,6 +97,15 @@ class TestDiagnostics:
     def test_json_error_carries_line(self):
         with pytest.raises(GameFileError, match="line 2"):
             gamefile.loads('{\n  "format": oops\n}')
+
+    def test_nesting_past_the_recursion_limit(self, mini_coloring):
+        with pytest.raises(GameFileError, match="document nested too deeply to parse"):
+            gamefile.loads("[" * 5000 + "]" * 5000)
+        deep: dict = {}
+        for _ in range(5000):
+            deep = {"x": deep}
+        with pytest.raises(GameFileError, match="meta nested too deeply to render"):
+            gamefile.game_to_doc(replace(mini_coloring.game, meta={"deep": deep}))
 
     def test_bad_rational_located(self):
         doc = {

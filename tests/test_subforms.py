@@ -14,9 +14,11 @@ from provergames.subforms import (
     WHOLE_GAME_KEY,
     Subform,
     _Class,
+    _compiled,
     _merge_answers,
     _perfect_info_dominant,
     _prover_classes,
+    _subforms,
     actors_in,
     conditional_game,
     dominant_sse_set,
@@ -25,6 +27,7 @@ from provergames.subforms import (
     find_subforms,
     is_dominant_sse,
     is_perfect_information,
+    sets_in,
 )
 from provergames.trees import (
     DecisionNode,
@@ -34,6 +37,7 @@ from provergames.trees import (
     NATURE,
     StrategyProfile,
     TerminalNode,
+    _IntCore,
     all_profiles,
     continuation_values,
     expected_utility,
@@ -44,7 +48,13 @@ from provergames.trees import (
     validate_game,
 )
 
-from randgames import random_game, random_pi_game, random_profile, random_root_lottery_game
+from randgames import (
+    corpus_games,
+    random_game,
+    random_pi_game,
+    random_profile,
+    random_root_lottery_game,
+)
 
 
 class _ProfileData:
@@ -335,6 +345,136 @@ class TestFindSubforms:
         # P1's singletons contain only one member of P2's pooled set; the
         # pooled set and the whole game are the only subforms.
         assert keys == {sets[2].key, WHOLE_GAME_KEY}
+
+
+def reference_find_subforms(game: GameTree) -> list[Subform]:
+    """The prefix scan the walk replaced: every history is tested against
+    every member of every set, then every set against each candidate."""
+    all_hist = frozenset(game.nodes)
+    subs: list[Subform] = []
+    for iset in game.sorted_sets:
+        members = iset.members
+        following = frozenset(h for h in all_hist if any(h[: len(m)] == m for m in members))
+        closed = all(
+            set(other.members) <= following or not (set(other.members) & following)
+            for other in game.info_sets
+        )
+        if not closed or (following == all_hist and members == ((),)):
+            continue
+        height = 0
+        for t in game.terminals:
+            if t in following:
+                m = next(m for m in members if t[: len(m)] == m)
+                height = max(height, len(t) - len(m))
+        subs.append(Subform(iset, following, height))
+    subs.append(Subform(None, all_hist, game.height))
+    subs.sort(key=lambda sf: (sf.height, sf.key))
+    return subs
+
+
+def check_walk(game: GameTree) -> int:
+    """`find_subforms` against the prefix scan, and each compiled subform
+    against literal oracles; the number of subforms checked."""
+    subs = find_subforms(game)
+    assert subs == reference_find_subforms(game)
+    core = _IntCore(game)
+    set_no = {iset: k for k, iset in enumerate(core.sets)}
+    compiled = _compiled(core)
+    assert [entry[0] for entry in compiled] == subs
+    for sf, members, frontier, inside, actors in compiled:
+        root = ((),) if sf.root_set is None else sf.root_set.members
+        assert members == [core.index[h] for h in root]
+        expected = [m for m in root if not any(o != m and m[: len(o)] == o for o in root)]
+        assert frontier == [core.index[m] for m in expected]
+        assert inside == tuple((set_no[i], i.owner) for i in sets_in(game, sf))
+        assert actors == actors_in(game, sf)
+    return len(subs)
+
+
+class TestSubformWalk:
+    """The walk down from each root set against the prefix scan it replaced."""
+
+    def test_corpus_and_lottery_games(self):
+        rng = random.Random(77)
+        games = [game for game, _ in corpus_games(300)]
+        lotteries = [random_root_lottery_game(rng) for _ in range(40)]
+        games += lotteries + [
+            prune_nature(g, random_profile(rng, g), 1, 1)[0] for g in lotteries
+        ]
+        games += [random_pi_game(rng, provers=1 + i % 3, zero_edges=True) for i in range(60)]
+        assert sum(map(check_walk, games)) > len(games)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["k3", "k4", "mini_coloring", "nexp_unsat_third", "nexp_sat", "nexp_clause_sat",
+         "pnexp_toy", "pnexp_three_query", "mrip_toy", "mrip_two_round"],
+    )
+    def test_builder_fixtures(self, request, name):
+        check_walk(request.getfixturevalue(name).game)
+
+    def test_absent_minded_set_walks_from_its_outer_member(self):
+        # "l" and its child "l/x" share one set: the frontier is "l" alone,
+        # and the height counts from it.
+        t = TerminalNode((F(0),), 0)
+        nodes = {
+            (): DecisionNode(NATURE, ("l", "r"), (F(1, 2), F(1, 2))),
+            ("l",): DecisionNode(1, ("x", "y")),
+            ("l", "x"): DecisionNode(1, ("x", "y")),
+            ("l", "x", "x"): t,
+            ("l", "x", "y"): t,
+            ("l", "y"): t,
+            ("r",): t,
+        }
+        iset = InformationSet(1, (("l",), ("l", "x")), ("x", "y"))
+        game = make_game(1, nodes, [iset])
+        (sf, frontier, inside), whole = _subforms(game)
+        assert sf.root_set == iset and frontier == (("l",),) and inside == (iset,)
+        assert sf.height == 2 and whole[0].height == 3
+        check_walk(game)
+
+    def test_set_below_a_zero_probability_edge_blocks_closure(self):
+        # P2's set joins "r" to a node Nature never plays below P1's "l".
+        t = TerminalNode((F(0), F(0)), 0)
+        nodes = {
+            (): DecisionNode(NATURE, ("l", "r"), (F(1, 2), F(1, 2))),
+            ("l",): DecisionNode(1, ("a", "b")),
+            ("l", "a"): DecisionNode(NATURE, ("u", "v"), (F(1), F(0))),
+            ("l", "a", "u"): t,
+            ("l", "a", "v"): DecisionNode(2, ("p", "q")),
+            ("l", "a", "v", "p"): t,
+            ("l", "a", "v", "q"): t,
+            ("l", "b"): t,
+            ("r",): DecisionNode(2, ("p", "q")),
+            ("r", "p"): t,
+            ("r", "q"): t,
+        }
+        pooled = InformationSet(2, (("l", "a", "v"), ("r",)), ("p", "q"))
+        game = make_game(2, nodes, [InformationSet(1, (("l",),), ("a", "b")), pooled])
+        assert [sf.key for sf in find_subforms(game)] == [pooled.key, WHOLE_GAME_KEY]
+        check_walk(game)
+
+    def test_closure_fails_only_deep_below_the_frontier(self):
+        # P1's sets at "l", "l/a" and "l/a/a" lie inside "l"'s histories; the
+        # pooled P2 set three moves below "l" reaches out to "r".
+        t = TerminalNode((F(0), F(0)), 0)
+        nodes = {
+            (): DecisionNode(NATURE, ("l", "r"), (F(1, 2), F(1, 2))),
+            ("r",): DecisionNode(2, ("p", "q")),
+            ("r", "p"): t,
+            ("r", "q"): t,
+        }
+        h: tuple = ("l",)
+        for _ in range(3):
+            nodes[h] = DecisionNode(1, ("a", "b"))
+            nodes[h + ("b",)] = t
+            h += ("a",)
+        nodes[h] = DecisionNode(2, ("p", "q"))
+        nodes[h + ("p",)] = nodes[h + ("q",)] = t
+        pooled = InformationSet(2, (h, ("r",)), ("p", "q"))
+        singletons = [InformationSet(1, (h[:k],), ("a", "b")) for k in (1, 2, 3)]
+        game = make_game(2, nodes, singletons + [pooled])
+        assert [sf.key for sf in find_subforms(game)] == [pooled.key, WHOLE_GAME_KEY]
+        check_walk(game)
 
 
 class TestConditionalGame:
