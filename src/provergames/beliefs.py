@@ -1,15 +1,19 @@
 """Beliefs at information sets: Bayes' rule where possible, limit beliefs elsewhere.
 
+Reach, Bayes posteriors and one-shot gains run on the integer core `_IntCore`,
+as `is_sse` does; `reach_map` and `continuation_values` are the tests' oracles.
+
 Limit beliefs come from perturbing the pure profile: every unchosen action gets
 probability eps split evenly, chosen actions keep 1-eps. The probability of a
 member history is then c_h * eps^e_h * (1-eps)^f_h and the eps->0 limit keeps
 only the members with the minimum eps-exponent. Zero-probability Nature
-branches (they arise only in pruned games) are treated like unchosen player
-actions so the construction stays total.
+branches (they arise only in pruned games, and the core leaves them out) are
+treated like unchosen player actions so the construction stays total.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -22,8 +26,8 @@ from .trees import (
     InformationSet,
     StrategyProfile,
     TerminalNode,
-    continuation_values,
-    reach_map,
+    _IntCore,
+    check_belief,
     require_total_profile,
 )
 
@@ -43,8 +47,8 @@ class BeliefSystem:
 
     def at(self, iset: InformationSet) -> dict[History, Fraction]:
         probs = dict(self.distributions).get(iset.key)
-        if probs is None:
-            raise BeliefError(f"no belief recorded for set {iset.key!r}")
+        if probs is None or len(probs) != len(iset.members):
+            raise BeliefError(f"no belief of one entry per member recorded for set {iset.key!r}")
         return dict(zip(iset.members, probs))
 
 
@@ -69,31 +73,27 @@ class LimitBeliefTrace:
     sets: tuple[SetTrace, ...]
 
 
-def reachable_sets(
-    game: GameTree, s: StrategyProfile
-) -> dict[InformationSet, Fraction]:
+def reachable_sets(game: GameTree, s: StrategyProfile) -> dict[InformationSet, Fraction]:
     """Information sets reached with positive probability under `s`, with the probability."""
-    require_total_profile(game, s)
-    reach = reach_map(game, s)
-    out: dict[InformationSet, Fraction] = {}
-    for iset in game.sorted_sets:
-        p = sum((reach[h] for h in iset.members), Fraction(0))
-        if p > 0:
-            out[iset] = p
-    return out
+    core = _IntCore(game)
+    reached = core.reach(core.choices(s))
+    sums = (sum(core.weight[m] for m in members if reached[m]) for members in core.members)
+    return {iset: Fraction(p, core.scale) for iset, p in zip(core.sets, sums) if p}
 
 
 def bayes_beliefs(
     game: GameTree, s: StrategyProfile, iset: InformationSet
 ) -> dict[History, Fraction]:
     """Bayes posterior over members; error at unreachable sets."""
-    reach = reach_map(game, s)
-    total = sum((reach[h] for h in iset.members), Fraction(0))
-    if total == 0:
-        raise BeliefError(
-            f"Bayes undefined: set {iset.key!r} unreachable under the profile"
-        )
-    return {h: reach[h] / total for h in iset.members}
+    core = _IntCore(game)
+    if iset not in core.sets:
+        raise BeliefError(f"set {iset.key!r} is not an information set of the game")
+    k = core.sets.index(iset)
+    reached = core.reach(core.choices(s))
+    live = tuple(n for n, m in enumerate(core.members[k]) if reached[m])
+    if not live:
+        raise BeliefError(f"Bayes undefined: set {iset.key!r} unreachable under the profile")
+    return dict(core.posterior(k, live)[0])
 
 
 def limit_beliefs(
@@ -158,25 +158,24 @@ def verify_sequential_rationality(
     game: GameTree, s: StrategyProfile, mu: BeliefSystem
 ) -> RationalityReport:
     """One-shot optimality of `s` at every set under the supplied beliefs."""
-    require_total_profile(game, s)
-    values = continuation_values(game, s)
-    violations = []
-    for iset in game.sorted_sets:
+    core = _IntCore(game)
+    choice = core.choices(s)
+    value, field, w = core.values(choice), core.field, core.weight
+    out = []
+    for iset, c, members, rows in zip(core.sets, choice, core.members, core.rows):
         belief = mu.at(iset)  # raises if mu does not cover the set
-        owner = iset.owner
-        chosen = s.action(iset.key)
-
-        def value(action: str) -> Fraction:
-            return sum(
-                (p * values[h + (action,)][owner - 1] for h, p in belief.items()),
-                Fraction(0),
-            )
-
-        base = value(chosen)
-        for a in iset.actions:
-            if a == chosen:
+        check_belief(iset, belief)
+        # At a member h, two children's fields differ by w[h] times their values'.
+        entries = zip(belief.values(), members, rows)
+        q = [(p.numerator, p.denominator * w[m], row) for p, m, row in entries if p]
+        den = math.lcm(*(d for _, d, _ in q))  # n / den = mu(h) / w[h]
+        terms = [(n * (den // d), row) for n, d, row in q]
+        owner, chosen = iset.owner, iset.actions[c]
+        base = sum(n * field(value[row[c]], owner) for n, row in terms)
+        for a, better in enumerate(iset.actions):
+            if a == c:
                 continue
-            delta = value(a) - base
-            if delta > 0:
-                violations.append(RationalityViolation(iset.key, chosen, a, delta))
-    return RationalityReport(not violations, tuple(violations))
+            gain = sum(n * field(value[row[a]], owner) for n, row in terms) - base
+            if gain > 0:
+                out.append(RationalityViolation(iset.key, chosen, better, Fraction(gain, den)))
+    return RationalityReport(not out, tuple(out))

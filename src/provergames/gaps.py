@@ -39,10 +39,8 @@ from .trees import (
     DEFAULT_PROFILE_CAP,
     GameTree,
     StrategyProfile,
-    TerminalNode,
     _IntCore,
     check_profile_cap,
-    reach_map,
     require_total_profile,
     utility_vector,
 )
@@ -53,14 +51,13 @@ def answer_bit_distribution(
     game: GameTree, s: StrategyProfile
 ) -> dict[int, Fraction]:
     """Probability of each terminal answer bit under `s` and Nature."""
-    require_total_profile(game, s)
-    reach = reach_map(game, s)
-    out = {0: Fraction(0), 1: Fraction(0)}
+    core = _IntCore(game)
+    reached = core.reach(core.choices(s))
+    out = {0: 0, 1: 0}
     for h in game.terminals:
-        node = game.nodes[h]
-        assert isinstance(node, TerminalNode)
-        out[node.answer_bit] += reach[h]
-    return out
+        if reached[t := core.index[h]]:
+            out[game.nodes[h].answer_bit] += core.weight[t]
+    return {bit: Fraction(n, core.scale) for bit, n in out.items()}
 
 
 def splice(

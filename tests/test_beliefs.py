@@ -9,13 +9,18 @@ from provergames.beliefs import (
     BeliefSystem,
     LimitBeliefTrace,
     MemberTrace,
+    RationalityReport,
+    RationalityViolation,
     SetTrace,
     bayes_beliefs,
     limit_beliefs,
     reachable_sets,
     verify_sequential_rationality,
 )
+from provergames.equilibrium import enumerate_sse
 from provergames.errors import BeliefError
+from provergames.gamefile import game_from_doc, game_to_doc
+from provergames.gaps import answer_bit_distribution
 from provergames.pruning import prune_nature
 from provergames.trees import (
     NATURE,
@@ -24,9 +29,13 @@ from provergames.trees import (
     InformationSet,
     StrategyProfile,
     TerminalNode,
+    continuation_values,
+    profile_space_size,
+    reach_map,
+    require_total_profile,
 )
 
-from randgames import random_game, random_profile
+from randgames import corpus_games, random_game, random_profile, random_root_lottery_game
 
 
 def weighted_coin_game(p):
@@ -130,6 +139,20 @@ class TestBayesBeliefs:
         s = StrategyProfile.from_dict({sets[0].key: "a", sets[1].key: "x"})
         with pytest.raises(BeliefError, match="Bayes undefined"):
             bayes_beliefs(game, s, sets[1])
+
+    def test_set_with_a_member_outside_the_game_errors(self):
+        game, iset = weighted_coin_game(F(1, 2))
+        s = StrategyProfile.from_dict({iset.key: "l"})
+        foreign = InformationSet(1, (("h",), ("x",)), ("l", "r"))
+        with pytest.raises(BeliefError, match=r"set 'h\|x' is not an information set"):
+            bayes_beliefs(game, s, foreign)
+
+    def test_set_with_other_actions_errors(self):
+        game, iset = weighted_coin_game(F(1, 2))
+        s = StrategyProfile.from_dict({iset.key: "l"})
+        relabelled = InformationSet(1, iset.members, ("l", "m"))
+        with pytest.raises(BeliefError, match=r"set 'h\|t' is not an information set"):
+            bayes_beliefs(game, s, relabelled)
 
 
 class TestLimitBeliefs:
@@ -257,6 +280,45 @@ class TestSequentialRationality:
         with pytest.raises(BeliefError):
             verify_sequential_rationality(game, s, BeliefSystem(()))
 
+    @staticmethod
+    def coin_against_r():
+        """Nature picks h or t; P1 cannot tell which. Under Bayes, l is better."""
+        nodes = {
+            (): DecisionNode(NATURE, ("h", "t"), (F(1, 2), F(1, 2))),
+            ("h",): DecisionNode(1, ("l", "r")),
+            ("t",): DecisionNode(1, ("l", "r")),
+            ("h", "l"): TerminalNode((F(1),), 1),
+            ("h", "r"): TerminalNode((F(0),), 0),
+            ("t", "l"): TerminalNode((F(0),), 0),
+            ("t", "r"): TerminalNode((F(1, 2),), 1),
+        }
+        iset = InformationSet(1, (("h",), ("t",)), ("l", "r"))
+        return GameTree(1, nodes, (iset,)), iset, StrategyProfile.from_dict({iset.key: "r"})
+
+    def test_bayes_belief_finds_the_better_action(self):
+        game, iset, s = self.coin_against_r()
+        mu = BeliefSystem.from_dict({iset.key: (F(1, 2), F(1, 2))})
+        report = verify_sequential_rationality(game, s, mu)
+        assert report.violations == (RationalityViolation(iset.key, "r", "l", F(1, 4)),)
+
+    @pytest.mark.parametrize(
+        "probs, match",
+        [((F(0), F(0)), "does not sum to 1"), ((F(0),), "one entry per member")],
+        ids=["zero-mass", "short"],
+    )
+    def test_non_distribution_belief_errors(self, probs, match):
+        game, iset, s = self.coin_against_r()
+        with pytest.raises(BeliefError, match=match):
+            verify_sequential_rationality(game, s, BeliefSystem.from_dict({iset.key: probs}))
+
+    def test_non_distribution_belief_from_a_game_file_errors(self):
+        game, iset, s = self.coin_against_r()
+        doc = game_to_doc(game)
+        doc["beliefs"] = {iset.key: ["0", "0"]}
+        loaded, mu = game_from_doc(doc)
+        with pytest.raises(BeliefError, match="does not sum to 1"):
+            verify_sequential_rationality(loaded, s, mu)
+
     def test_k3_honest_with_limit_beliefs(self, k3):
         mu, _ = limit_beliefs(k3.game, k3.honest)
         assert verify_sequential_rationality(k3.game, k3.honest, mu).verdict
@@ -380,3 +442,144 @@ class TestLimitBeliefsMatchPathWalk:
         self.assert_same(game, on)
         for _ in range(10):
             self.assert_same(game, random_profile(rng, game))
+
+
+def reference_reachable_sets(game, s):
+    """`reachable_sets` as one Fraction pass of `reach_map`."""
+    require_total_profile(game, s)
+    reach = reach_map(game, s)
+    out = {}
+    for iset in game.sorted_sets:
+        p = sum((reach[h] for h in iset.members), F(0))
+        if p > 0:
+            out[iset] = p
+    return out
+
+
+def reference_bayes_beliefs(game, s, iset):
+    reach = reach_map(game, s)
+    total = sum((reach[h] for h in iset.members), F(0))
+    if total == 0:
+        raise BeliefError(f"Bayes undefined: set {iset.key!r} unreachable under the profile")
+    return {h: reach[h] / total for h in iset.members}
+
+
+def reference_verify_sequential_rationality(game, s, mu):
+    """`verify_sequential_rationality` on the Fraction `continuation_values`."""
+    require_total_profile(game, s)
+    values = continuation_values(game, s)
+    violations = []
+    for iset in game.sorted_sets:
+        belief = mu.at(iset)
+        owner = iset.owner
+        chosen = s.action(iset.key)
+
+        def value(action):
+            return sum(
+                (p * values[h + (action,)][owner - 1] for h, p in belief.items()), F(0)
+            )
+
+        base = value(chosen)
+        for a in iset.actions:
+            if a == chosen:
+                continue
+            delta = value(a) - base
+            if delta > 0:
+                violations.append(RationalityViolation(iset.key, chosen, a, delta))
+    return RationalityReport(not violations, tuple(violations))
+
+
+def reference_answer_bit_distribution(game, s):
+    require_total_profile(game, s)
+    reach = reach_map(game, s)
+    out = {0: F(0), 1: F(0)}
+    for h in game.terminals:
+        out[game.nodes[h].answer_bit] += reach[h]
+    return out
+
+
+def random_beliefs(rng, game):
+    """A distribution per set with integer weights 0..3, some members left at 0."""
+    dists = {}
+    for iset in game.sorted_sets:
+        w = [rng.randint(0, 3) for _ in iset.members]
+        if not any(w):
+            w[rng.randrange(len(w))] = 1
+        dists[iset.key] = tuple(F(x, sum(w)) for x in w)
+    return BeliefSystem.from_dict(dists)
+
+
+class TestCoreMatchesFractionPasses:
+    """The integer-core readers against their Fraction definitions: equal
+    results in equal order, and equal errors."""
+
+    def assert_same(self, game, s, rng):
+        """Compare every reader at `s`; return the violations found under the
+        limit beliefs and under random beliefs."""
+        got, want = reachable_sets(game, s), reference_reachable_sets(game, s)
+        assert list(got.items()) == list(want.items())
+        got, want = answer_bit_distribution(game, s), reference_answer_bit_distribution(game, s)
+        assert list(got.items()) == list(want.items())
+        for iset in game.sorted_sets:
+            try:
+                want = list(reference_bayes_beliefs(game, s, iset).items())
+            except BeliefError:
+                with pytest.raises(BeliefError, match="Bayes undefined"):
+                    bayes_beliefs(game, s, iset)
+            else:
+                assert list(bayes_beliefs(game, s, iset).items()) == want
+        found = 0
+        for mu in (limit_beliefs(game, s)[0], random_beliefs(rng, game)):
+            got = verify_sequential_rationality(game, s, mu)
+            assert got == reference_verify_sequential_rationality(game, s, mu)
+            assert all(type(v.delta) is F for v in got.violations)
+            found += len(got.violations)
+        return found
+
+    def test_criterion_7_corpus(self):
+        rng = random.Random(7)
+        pairs = violations = 0
+        for game, _ in corpus_games(300):
+            if profile_space_size(game) > 3000:
+                continue
+            for s in [*enumerate_sse(game), random_profile(rng, game), random_profile(rng, game)]:
+                violations += self.assert_same(game, s, rng)
+                pairs += 1
+        assert pairs == 1051 and violations > 1000
+
+    def test_zero_probability_nature_edges(self):
+        # Pruning leaves zero-probability Nature edges, below which the
+        # core's weights restart at 1.
+        rng = random.Random(31)
+        zero_edges = 0
+        for n in range(80):
+            if n % 2:
+                game = random_root_lottery_game(rng)
+            else:
+                game = random_game(rng, max_nodes=60, max_prover_sets=6, nature_weight=0.4)
+            for _ in range(2):
+                s = random_profile(rng, game)
+                pruned, _ = prune_nature(game, s, rng.randint(1, 3), 1)
+                zero_edges += sum(
+                    node.dist.count(0)
+                    for node in pruned.nodes.values()
+                    if isinstance(node, DecisionNode) and node.player == NATURE
+                )
+                for g in (game, pruned):
+                    self.assert_same(g, s, rng)
+                    self.assert_same(g, random_profile(rng, g), rng)
+        assert zero_edges > 100
+
+    def test_builder_fixtures(
+        self, k3, k4, nexp_unsat_third, nexp_sat, nexp_clause_sat, pnexp_toy,
+        pnexp_three_query, mrip_toy, mrip_two_round,
+    ):
+        rng = random.Random(13)
+        builds = (
+            k3, k4, nexp_unsat_third, nexp_sat, nexp_clause_sat, pnexp_toy,
+            pnexp_three_query, mrip_toy, mrip_two_round,
+        )
+        for build in builds:
+            self.assert_same(build.game, build.honest, rng)
+            for _ in range(2):
+                self.assert_same(build.game, random_profile(rng, build.game), rng)

@@ -21,3 +21,37 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert sorted(hits) == []
+
+
+def test_fraction_passes_called_only_where_allowed():
+    """Reach, Bayes and one-shot-gain arithmetic lives on the integer core;
+    the Fraction passes `reach_map` and `continuation_values` are the public
+    definitions, read only by trees.py's wrappers, the brute-force SSE oracle
+    and `prune_nature`."""
+    passes = {"reach_map", "continuation_values"}
+    callers, importers = set(), set()
+    for path in sorted(Path(provergames.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                importers.update((module, a.name) for a in node.names if a.name in passes)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {
+                    getattr(call.func, "id", getattr(call.func, "attr", None))
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                }
+                if called & passes:
+                    callers.add(f"{module}.{node.name}")
+    assert sorted(callers) == [
+        "equilibrium.is_sse_bruteforce",
+        "pruning.prune_nature",
+        "trees.conditional_utility",
+        "trees.expected_utility",
+        "trees.utility_vector",
+    ]
+    assert sorted(importers) == [
+        ("equilibrium", "reach_map"),
+        ("pruning", "continuation_values"),
+    ]
