@@ -26,7 +26,7 @@ from .trees import (
     InformationSet,
     StrategyProfile,
     TerminalNode,
-    _IntCore,
+    _core_of,
     check_belief,
     require_total_profile,
 )
@@ -75,7 +75,7 @@ class LimitBeliefTrace:
 
 def reachable_sets(game: GameTree, s: StrategyProfile) -> dict[InformationSet, Fraction]:
     """Information sets reached with positive probability under `s`, with the probability."""
-    core = _IntCore(game)
+    core = _core_of(game)
     reached = core.reach(core.choices(s))
     sums = (sum(core.weight[m] for m in members if reached[m]) for members in core.members)
     return {iset: Fraction(p, core.scale) for iset, p in zip(core.sets, sums) if p}
@@ -85,7 +85,7 @@ def bayes_beliefs(
     game: GameTree, s: StrategyProfile, iset: InformationSet
 ) -> dict[History, Fraction]:
     """Bayes posterior over members; error at unreachable sets."""
-    core = _IntCore(game)
+    core = _core_of(game)
     if iset not in core.sets:
         raise BeliefError(f"set {iset.key!r} is not an information set of the game")
     k = core.sets.index(iset)
@@ -158,7 +158,7 @@ def verify_sequential_rationality(
     game: GameTree, s: StrategyProfile, mu: BeliefSystem
 ) -> RationalityReport:
     """One-shot optimality of `s` at every set under the supplied beliefs."""
-    core = _IntCore(game)
+    core = _core_of(game)
     choice = core.choices(s)
     value, field, w = core.values(choice), core.field, core.weight
     out = []

@@ -21,12 +21,9 @@ from those choices to its violations (context-based caching, as in AND/OR
 search). Only a miss runs the pending bottom-up steps and checks the set, on
 values computed so far; a one-member set's entry holds the reached and the
 unreached certificate, and a check of the member's path picks one. The
-violations are then put back in `sorted_sets` order. `enumerate_sse` checks
-recall and compiles the core once, then passes it to `is_sse` as the private
-`_core` for every profile, with the private `_first`: only the verdict
-matters there, so the pass stops at the first violation, which the
-certificate reports alone. The memo lives as long as the core; a standalone
-`is_sse` call compiles its own.
+violations are then put back in `sorted_sets` order. All calls on one tree
+share its core, recall report and memo (`trees._core_of`). `enumerate_sse`
+needs only verdicts: its private `_first` stops at the first violation.
 """
 
 from __future__ import annotations
@@ -44,12 +41,13 @@ from .trees import (
     History,
     StrategyProfile,
     TerminalNode,
+    ValidationReport,
+    _core_of,
     _IntCore,
     all_profiles,
     check_perfect_recall,
     reach_map,
     require_total_profile,
-    utility_vector,
 )
 
 
@@ -71,46 +69,35 @@ class SseCertificate:
     stats: Mapping[str, int] = field(default_factory=dict, compare=False)
 
 
-def _require_recall(game: GameTree) -> None:
-    report = check_perfect_recall(game)
+def _require_recall(report: ValidationReport) -> None:
     if not report.ok:
-        raise ImperfectRecallError(
-            f"game lacks perfect recall: {report.violations[0].message}"
-        )
+        raise ImperfectRecallError(f"game lacks perfect recall: {report.violations[0].message}")
 
 
-def is_sse(
-    game: GameTree,
-    s: StrategyProfile,
-    *,
-    _core: _IntCore | None = None,
-    _first: bool = False,
-) -> SseCertificate:
-    """One-shot deviation check, stage by stage on the integer core: each
-    set's verdict is looked up under the choices it depends on, and only a
-    miss runs the pending bottom-up steps and checks the set. `enumerate_sse`
-    compiles the core once and passes it as `_core`; with `_first` the check
-    stops at the first violation and reports it alone."""
-    if _core is None:
-        _require_recall(game)
-        _core = _IntCore(game)
-    choice = _core.choices(s)
-    stats = {"ops": _core.ops}
+def is_sse(game: GameTree, s: StrategyProfile, *, _first: bool = False) -> SseCertificate:
+    """One-shot deviation check, stage by stage on the tree's integer core:
+    each set's verdict is looked up under the choices it depends on, in a memo
+    all checks of the tree share, and only a miss runs the pending bottom-up
+    steps and checks the set. With `_first` it stops at the first violation."""
+    core = _core_of(game)
+    _require_recall(core.recall)
+    choice = core.choices(s)
+    stats = {"ops": core.ops}
     violations = []
     value, done = None, 0
-    for end, k, key, memo, paths in _core.stages:
+    for end, k, key, memo, paths in core.stages:
         found = None if key is None else memo.get(kv := key(choice))
         if found is None:
             if value is None:
-                value = _core.leaf[:]
-            _core.advance(value, choice, _core.bottom_up[done:end])
+                value = core.leaf[:]
+            core.advance(value, choice, core.bottom_up[done:end])
             done = end
-            found = _check_stage(_core, k, choice, value, paths)
+            found = _check_stage(core, k, choice, value, paths)
             if key is not None:
                 memo[kv] = found
         if found:
             if len(paths) == 1:  # (reached, unreached)
-                found = found[0] if _core.live(paths, choice) else found[1]
+                found = found[0] if core.live(paths, choice) else found[1]
             if _first:
                 return SseCertificate(False, found[:1], stats)
             violations.extend(found)
@@ -193,7 +180,7 @@ def is_sse_bruteforce(game: GameTree, s: StrategyProfile) -> SseCertificate:
     Intended for small games; the enumeration at each set runs over all action
     assignments to the owner's sets at or below that set.
     """
-    _require_recall(game)
+    _require_recall(check_perfect_recall(game))
     require_total_profile(game, s)
     reach = reach_map(game, s)
     violations = []
@@ -269,14 +256,9 @@ def is_sse_bruteforce(game: GameTree, s: StrategyProfile) -> SseCertificate:
     return SseCertificate(not violations, tuple(violations))
 
 
-def enumerate_sse(
-    game: GameTree, cap: int = DEFAULT_PROFILE_CAP
-) -> list[StrategyProfile]:
+def enumerate_sse(game: GameTree, cap: int = DEFAULT_PROFILE_CAP) -> list[StrategyProfile]:
     """All pure SSEs, in canonical action-order enumeration."""
-    profiles = all_profiles(game, cap)
-    _require_recall(game)
-    core = _IntCore(game)
-    return [s for s in profiles if is_sse(game, s, _core=core, _first=True).verdict]
+    return [s for s in all_profiles(game, cap) if is_sse(game, s, _first=True).verdict]
 
 
 def max_total_utility_sse(
@@ -284,19 +266,13 @@ def max_total_utility_sse(
 ) -> tuple[StrategyProfile, bool]:
     """The SSE maximizing total utility, flagged when it weakly dominates per player.
 
-    Ties break by position in `sse_set` (canonical enumeration order).
+    Ties break by position in `sse_set` (canonical enumeration order). Root
+    fields carry one raise for every prover and profile, so it cancels.
     """
     if not sse_set:
         raise ValueError("sse_set must be nonempty")
-    vectors = [utility_vector(game, s) for s in sse_set]
-    best_idx = 0
-    best_total = sum(vectors[0], Fraction(0))
-    for i in range(1, len(sse_set)):
-        total = sum(vectors[i], Fraction(0))
-        if total > best_total:
-            best_idx, best_total = i, total
-    best_vec = vectors[best_idx]
-    dominant = all(
-        all(best_vec[j] >= vec[j] for j in range(game.provers)) for vec in vectors
-    )
-    return sse_set[best_idx], dominant
+    core, provers = _core_of(game), range(1, game.provers + 1)
+    vectors = [[core.field(core.values(core.choices(s))[0], j) for j in provers] for s in sse_set]
+    best = max(range(len(vectors)), key=lambda i: sum(vectors[i]))  # the first of ties
+    dominant = all(all(a >= b for a, b in zip(vectors[best], vec)) for vec in vectors)
+    return sse_set[best], dominant

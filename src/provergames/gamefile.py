@@ -178,7 +178,13 @@ def game_from_doc(doc: Any) -> tuple[GameTree, BeliefSystem | None]:
         dists = {}
         for key, probs in _field(doc, "beliefs", "", dict).items():
             where = f"beliefs[{key!r}]"
-            dists[key] = _rats(_typed(probs, list, where), where, parsed)
+            dists[key] = probs = _rats(_typed(probs, list, where), where, parsed)
+            if (iset := game.set_by_key.get(key)) is None:
+                raise GameFileError(f"{where}: the game has no such information set")
+            if len(probs) != len(iset.members):
+                raise GameFileError(f"{where}: needs {len(iset.members)} entries, got {len(probs)}")
+            if any(p < 0 for p in probs) or sum(probs) != 1:
+                raise GameFileError(f"{where}: not a probability distribution")
         beliefs = BeliefSystem.from_dict(dists)
     return game, beliefs
 

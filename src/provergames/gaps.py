@@ -39,7 +39,7 @@ from .trees import (
     DEFAULT_PROFILE_CAP,
     GameTree,
     StrategyProfile,
-    _IntCore,
+    _core_of,
     check_profile_cap,
     require_total_profile,
     utility_vector,
@@ -51,7 +51,7 @@ def answer_bit_distribution(
     game: GameTree, s: StrategyProfile
 ) -> dict[int, Fraction]:
     """Probability of each terminal answer bit under `s` and Nature."""
-    core = _IntCore(game)
+    core = _core_of(game)
     reached = core.reach(core.choices(s))
     out = {0: 0, 1: 0}
     for h in game.terminals:
@@ -92,7 +92,7 @@ class _SpliceScan:
     """Closed-form splice losses against a fixed `s_star`, on one integer core."""
 
     def __init__(self, game: GameTree, s_star: StrategyProfile):
-        self.core = core = _IntCore(game)
+        self.core = core = _core_of(game)
         self.star_choice = core.choices(s_star)
         self.star, self.star_reached = core.evaluate(self.star_choice)
         self.plan = _compiled(core)

@@ -23,6 +23,7 @@ from .trees import (
     GameTree,
     History,
     StrategyProfile,
+    _core_of,
     continuation_values,
     path_of,
     profile_space_size,
@@ -154,10 +155,11 @@ class PruningReport:
 
 def _in_class(game: GameTree, s: StrategyProfile, dominant: StrategyProfile | None) -> bool:
     """`s` is an SSE with the utility vector and answer distribution of `dominant`."""
+    core = _core_of(game)  # packed root values are equal iff every utility is
     return (
         dominant is not None
         and is_sse(game, s).verdict
-        and utility_vector(game, s) == utility_vector(game, dominant)
+        and core.values(core.choices(s))[0] == core.values(core.choices(dominant))[0]
         and answer_bit_distribution(game, s) == answer_bit_distribution(game, dominant)
     )
 

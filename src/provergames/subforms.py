@@ -31,6 +31,7 @@ from .trees import (
     StrategyProfile,
     TerminalNode,
     _IntCore,
+    _core_of,
     require_total_profile,
 )
 
@@ -180,9 +181,8 @@ def dominates_on_subform(
     at the root set; if either profile leaves the root set unreached, the
     comparison is made pointwise at every member history instead.
     """
-    core = _IntCore(game)
-    d1 = core.evaluate(core.choices(s))
-    d2 = core.evaluate(core.choices(s2))
+    core = _core_of(game)
+    d1, d2 = (core.evaluate(core.choices(p)) for p in (s, s2))
     members = [core.index[h] for h in (((),) if sf.root_set is None else sf.root_set.members)]
     return _dominates(core, d1, d2, members, actors_in(game, sf))
 
@@ -207,7 +207,7 @@ def _layered_dominant(
     sse_set: Sequence[StrategyProfile],
     watch: StrategyProfile | None = None,
 ) -> tuple[list[StrategyProfile], list[SubformComparison]]:
-    core = _IntCore(game)
+    core = _core_of(game)
     subs = _compiled(core)
     data = [core.evaluate(core.choices(s)) for s in sse_set]
     current = list(range(len(sse_set)))

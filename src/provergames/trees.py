@@ -420,9 +420,8 @@ class _IntCore:
     from the same comparisons and from the difference of two profiles' fields
     at one node m. If m is reached under a profile, W'(m) is its reach
     probability, so that difference over `scale` = D is reach(m) times the
-    difference of the continuation values. Compile once per analysis, not per
-    tree: the object holds arrays the size of the tree, and the SSE check's
-    memo (`stages`), which grows with the profiles checked on it.
+    difference of the continuation values. Build it only by `_core_of`, which
+    keeps one: it holds arrays the size of the tree and the SSE check's memo.
     """
 
     def __init__(self, game: GameTree):
@@ -506,6 +505,11 @@ class _IntCore:
         except KeyError:
             require_total_profile(self.game, s)  # raises the ProfileError
             raise
+
+    @cached_property
+    def recall(self) -> ValidationReport:
+        """`check_perfect_recall` of the game, run once per core."""
+        return check_perfect_recall(self.game)
 
     @cached_property
     def stages(self) -> tuple:
@@ -666,6 +670,18 @@ class _IntCore:
             belief = tuple(sorted(zip(self.sets[k].members, p)))
             self._posteriors[key] = (belief, total)
         return self._posteriors[key]
+
+
+_last: _IntCore | None = None  # the one core that `_core_of` keeps
+
+
+def _core_of(game: GameTree) -> _IntCore:
+    """`game`'s integer core: the one kept if it is this very tree's, else a new
+    one kept instead. Memo entries depend only on their keys, not on past calls."""
+    global _last
+    if (core := _last) is None or core.game is not game:
+        core = _last = _IntCore(game)
+    return core
 
 
 def expected_utility(game: GameTree, s: StrategyProfile, prover: int) -> Fraction:

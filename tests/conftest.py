@@ -17,11 +17,21 @@ from provergames import (
     build_three_coloring,
     fixed_soundness_mip,
     toy_clause_variable_mip,
+    trees,
 )
 
 K3_EDGES = [(0, 1), (0, 2), (1, 2)]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 PNEXP_3Q_MIPS = {"qa": (3, 3), "qb": (1, 3), "qc": (2, 2), "qd": (1, 2)}  # (k, N) per query
+
+
+@pytest.fixture(autouse=True)
+def empty_core_slot():
+    """Every test starts with no core in the slot of `trees._core_of`, so a
+    count it pins does not depend on the tests that ran before it."""
+    trees._last = None
+    yield
+    trees._last = None
 
 
 @pytest.fixture(scope="session")

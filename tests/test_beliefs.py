@@ -18,7 +18,7 @@ from provergames.beliefs import (
     verify_sequential_rationality,
 )
 from provergames.equilibrium import enumerate_sse
-from provergames.errors import BeliefError
+from provergames.errors import BeliefError, GameFileError
 from provergames.gamefile import game_from_doc, game_to_doc
 from provergames.gaps import answer_bit_distribution
 from provergames.pruning import prune_nature
@@ -312,12 +312,12 @@ class TestSequentialRationality:
             verify_sequential_rationality(game, s, BeliefSystem.from_dict({iset.key: probs}))
 
     def test_non_distribution_belief_from_a_game_file_errors(self):
+        # The load refuses it, so no such belief system reaches the check.
         game, iset, s = self.coin_against_r()
         doc = game_to_doc(game)
         doc["beliefs"] = {iset.key: ["0", "0"]}
-        loaded, mu = game_from_doc(doc)
-        with pytest.raises(BeliefError, match="does not sum to 1"):
-            verify_sequential_rationality(loaded, s, mu)
+        with pytest.raises(GameFileError, match=r"^beliefs\[.*\]: not a probability distribution$"):
+            game_from_doc(doc)
 
     def test_k3_honest_with_limit_beliefs(self, k3):
         mu, _ = limit_beliefs(k3.game, k3.honest)

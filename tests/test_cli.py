@@ -397,6 +397,31 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {where}:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "beliefs, where",
+        [
+            ({"h|zz": ["1", "0"]}, "beliefs['h|zz']"),
+            ({"h|t": ["1", "0", "0"]}, "beliefs['h|t']"),
+            ({"h|t": ["1/3", "1/3"]}, "beliefs['h|t']"),
+        ],
+        ids=["unknown-set", "wrong-length", "not-a-distribution"],
+    )
+    def test_bad_beliefs_exit_two_with_their_location(self, tmp_path, capsys, beliefs, where):
+        game, strategy = tmp_path / "input.game", tmp_path / "input.strategy"
+        game.write_text(json.dumps({**FUZZ_GAME, "beliefs": beliefs}))
+        strategy.write_text(json.dumps(FUZZ_STRATEGY))
+        for argv in (
+            ("validate", game),
+            ("check-sse", game, strategy),
+            ("enumerate-sse", game),
+            ("find-dominant", game),
+            ("check-gap", game, "--alpha", "1"),
+            ("prune", game, strategy, "--alpha", "1", "--prover", "1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {where}:") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("value", [[1], None, "x", "1", True, 2])
     def test_check_gap_refuses_a_bad_correct_bit(self, tmp_path, capsys, value):
         game = self.write(tmp_path, meta={"correct_bit": value})

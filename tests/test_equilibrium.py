@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from provergames import equilibrium
+from provergames import equilibrium, trees
+from provergames.beliefs import limit_beliefs, reachable_sets, verify_sequential_rationality
 from provergames.equilibrium import (
     SseCertificate,
     SseViolation,
@@ -17,9 +21,9 @@ from provergames.equilibrium import (
     max_total_utility_sse,
 )
 from provergames.errors import CapExceededError, ImperfectRecallError, ProfileError
-from provergames.gaps import verify_utility_gap
-from provergames.pruning import prune_nature
-from provergames.subforms import find_dominant_sse
+from provergames.gaps import answer_bit_distribution, verify_utility_gap
+from provergames.pruning import prune_nature, verify_pruning
+from provergames.subforms import dominant_sse_set, find_dominant_sse
 from provergames.trees import (
     NATURE,
     DecisionNode,
@@ -29,6 +33,7 @@ from provergames.trees import (
     TerminalNode,
     _IntCore,
     all_profiles,
+    check_perfect_recall,
     continuation_values,
     make_game,
     profile_space_size,
@@ -59,7 +64,7 @@ def forgetful_game() -> GameTree:
 
 def is_sse_fraction(game: GameTree, s: StrategyProfile) -> SseCertificate:
     """Reference one-shot check in Fractions: full-tree value and reach passes."""
-    _require_recall(game)
+    _require_recall(check_perfect_recall(game))
     require_total_profile(game, s)
     values = continuation_values(game, s)
     reach = reach_map(game, s)
@@ -510,6 +515,89 @@ class TestMaxTotal:
         assert flagged > 0
 
 
+def reference_max_total_utility_sse(game, sse_set):
+    """`max_total_utility_sse` as it was on `utility_vector` Fraction passes."""
+    if not sse_set:
+        raise ValueError("sse_set must be nonempty")
+    vectors = [utility_vector(game, s) for s in sse_set]
+    best_idx = 0
+    best_total = sum(vectors[0], F(0))
+    for i in range(1, len(sse_set)):
+        total = sum(vectors[i], F(0))
+        if total > best_total:
+            best_idx, best_total = i, total
+    best_vec = vectors[best_idx]
+    dominant = all(
+        all(best_vec[j] >= vec[j] for j in range(game.provers)) for vec in vectors
+    )
+    return sse_set[best_idx], dominant
+
+
+class TestMaxTotalMatchesFractionPick:
+    """The pick on the core's root fields against the Fraction pick: the same
+    profile, first of tied totals, and the same flag."""
+
+    def assert_same(self, game, profiles) -> bool:
+        got = max_total_utility_sse(game, profiles)
+        assert got == reference_max_total_utility_sse(game, profiles)
+        return got[1]
+
+    def test_criterion_7_corpus(self):
+        rng = random.Random(77)
+        sets = flagged = 0
+        for game, _ in corpus_games(1000):
+            if profile_space_size(game) > 3000:
+                continue
+            sses = enumerate_sse(game)
+            others = [random_profile(rng, game) for _ in range(6)]
+            for profiles in (sses, others, sses + others):
+                if profiles:
+                    flagged += self.assert_same(game, profiles)
+                    sets += 1
+        assert (sets, flagged) == (2941, 1451)
+
+    def test_root_lotteries_and_their_prunings(self):
+        rng = random.Random(78)
+        zero_edges = 0
+        for _ in range(40):
+            game = random_root_lottery_game(rng, profile_cap=512)
+            pruned, _ = prune_nature(game, random_profile(rng, game), rng.randint(1, 2), 1)
+            zero_edges += sum(
+                node.dist.count(0)
+                for node in pruned.nodes.values()
+                if isinstance(node, DecisionNode) and node.player == NATURE
+            )
+            for g in (game, pruned):
+                self.assert_same(g, enumerate_sse(g))
+                self.assert_same(g, [random_profile(rng, g) for _ in range(8)])
+        assert zero_edges > 0
+
+    def test_builder_fixtures(
+        self, k3, k4, mini_coloring, nexp_unsat_third, nexp_sat, nexp_clause_sat, pnexp_toy,
+        pnexp_three_query, mrip_toy, mrip_two_round,
+    ):
+        rng = random.Random(79)
+        for build in (
+            k3, k4, mini_coloring, nexp_unsat_third, nexp_sat, nexp_clause_sat, pnexp_toy,
+            pnexp_three_query, mrip_toy, mrip_two_round,
+        ):
+            others = [random_profile(rng, build.game) for _ in range(4)]
+            self.assert_same(build.game, [build.honest, *others])
+            self.assert_same(build.game, [*others, build.honest])
+
+    def test_first_of_tied_totals_wins(self):
+        # Three profiles with total 1/2 each and no one dominating the others.
+        nodes = {(): DecisionNode(1, ("a", "b", "c"))}
+        for a, pay in (("a", (F(1, 2), F(0))), ("b", (F(0), F(1, 2))), ("c", (F(1, 4), F(1, 4)))):
+            nodes[(a,)] = TerminalNode(pay, 0)
+        game = make_game(2, nodes)
+        key = game.info_sets[0].key
+        profiles = [StrategyProfile.from_dict({key: a}) for a in "abc"]
+        for order in itertools.permutations(profiles):
+            assert max_total_utility_sse(game, list(order)) == (order[0], False)
+            self.assert_same(game, list(order))
+
+
 def unmemoised_core(game: GameTree) -> _IntCore:
     """A core whose stages neither read nor fill a memo: every call checks
     every set, as a fresh core does on its first call."""
@@ -518,32 +606,42 @@ def unmemoised_core(game: GameTree) -> _IntCore:
     return core
 
 
+def installed(core: _IntCore) -> _IntCore:
+    """`core` put in the slot of `trees._core_of`, so that the checks of its
+    game that follow run on it."""
+    trees._last = core
+    return core
+
+
 def assert_shared_core_agrees(game, profiles, rng) -> tuple[int, int]:
     """Full and `_first` certificates from one shared core, visited in
     canonical order and in a seeded shuffle, equal those without a memo;
     returns the canonical pass's memo entries and a bound on its lookups."""
-    ref = unmemoised_core(game)
+    ref = installed(unmemoised_core(game))
     # `_first` reports the first violation of the first set checked.
     rank = {ref.sets[k].key: n for n, (_, k, _, _, _) in enumerate(ref.stages)}
     expected = {}
     for s in profiles:
-        full = is_sse(game, s, _core=ref)
+        full = is_sse(game, s)
         first = min(full.violations, key=lambda v: rank[v.set_key], default=None)
         expected[s] = full, SseCertificate(full.verdict, (first,) if first else ())
+    assert trees._core_of(game) is ref
+    trees._last = None
     assert is_sse(game, profiles[0]) == expected[profiles[0]][0]  # a fresh core
     shuffled = list(profiles)
     rng.shuffle(shuffled)
     counts = None
     for order in (profiles, shuffled):
-        core = _IntCore(game)
+        core = installed(_IntCore(game))
         for n, s in enumerate(order):
             full, first = expected[s]
             if n % 2:  # either mode may meet an entry the other one stored
-                assert is_sse(game, s, _core=core) == full
-                assert is_sse(game, s, _core=core, _first=True) == first
+                assert is_sse(game, s) == full
+                assert is_sse(game, s, _first=True) == first
             else:
-                assert is_sse(game, s, _core=core, _first=True) == first
-                assert is_sse(game, s, _core=core) == full
+                assert is_sse(game, s, _first=True) == first
+                assert is_sse(game, s) == full
+        assert trees._core_of(game) is core
         if counts is None:
             memoised = [memo for _, _, key, memo, _ in core.stages if key is not None]
             counts = (sum(map(len, memoised)), 2 * len(profiles) * len(memoised))
@@ -651,11 +749,11 @@ class TestVerdictMemo:
             ("stop", "b"): (unreached,),
         }
         for order in (list(expected), list(reversed(expected))):
-            core = _IntCore(game)
+            core = installed(_IntCore(game))
             for first, second in order:
                 s = StrategyProfile.from_dict({"": first, "go": second})
-                assert is_sse(game, s, _core=core).violations == expected[first, second]
-                first_only = is_sse(game, s, _core=core, _first=True).violations
+                assert is_sse(game, s).violations == expected[first, second]
+                first_only = is_sse(game, s, _first=True).violations
                 assert first_only == expected[first, second][-1:]  # the set at "go" comes first
         assert_shared_core_agrees(game, list(all_profiles(game)), random.Random(6))
 
@@ -696,9 +794,147 @@ class TestVerdictMemo:
 
     def test_full_key_stage_stays_out_of_the_memo(self):
         game = equal_payment_game()
-        core = _IntCore(game)
+        core = installed(_IntCore(game))
         assert "stages" not in vars(core)  # built on the first check only
         profiles = list(all_profiles(game))
-        assert [s for s in profiles if is_sse(game, s, _core=core).verdict] == profiles
+        assert [s for s in profiles if is_sse(game, s).verdict] == profiles
+        assert trees._core_of(game) is core
         memo = {core.sets[k].key: (key is None, len(memo)) for _, k, key, memo, _ in core.stages}
         assert memo == {"": (True, 0), "a": (False, 2), "b": (False, 2)}
+
+
+def chain(game):
+    """The paper's questions about `game` as separate public calls, the
+    sse-enum chain and more, yielded one result at a time so that two chains
+    can be interleaved call by call."""
+    sses = enumerate_sse(game)
+    yield sses
+    yield dominant_sse_set(game, sses)
+    if sses:
+        yield max_total_utility_sse(game, sses)
+    for s in [*sses, next(all_profiles(game))]:
+        mu, trace = limit_beliefs(game, s)
+        yield mu, trace
+        yield verify_sequential_rationality(game, s, mu)
+        yield answer_bit_distribution(game, s)
+        yield reachable_sets(game, s)
+        yield is_sse(game, s)
+
+
+def fresh(game) -> list:
+    """The chain's results on a structurally equal copy, from an empty slot."""
+    trees._last = None
+    return list(chain(replace(game)))
+
+
+def alternated(a, b) -> tuple[list, list]:
+    """The chains of `a` and `b`, run one call of each in turn."""
+    gap = object()
+    steps = list(itertools.zip_longest(chain(a), chain(b), fillvalue=gap))
+    return [x for x, _ in steps if x is not gap], [y for _, y in steps if y is not gap]
+
+
+def sse_rich_games(count: int) -> list[GameTree]:
+    """The first `count` criterion-7 corpus games with two or more SSEs."""
+    games = []
+    for game, _ in corpus_games(200):
+        if profile_space_size(game) <= 3000 and len(enumerate_sse(game)) > 1:
+            games.append(game)
+            if len(games) == count:
+                return games
+    raise AssertionError("too few games with two or more SSEs")
+
+
+class TestCoreSlot:
+    """`trees._core_of` keeps one core: a chain of analyses of one tree
+    compiles it once, and no result depends on the calls made before."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch) -> list:
+        made = []
+        init = _IntCore.__init__
+
+        def counted(self, game):
+            made.append(game)
+            init(self, game)
+
+        monkeypatch.setattr(_IntCore, "__init__", counted)
+        return made
+
+    def test_one_compile_per_chain(self, compiles):
+        for game in sse_rich_games(15):
+            compiles.clear()
+            sses = enumerate_sse(game)
+            dominant_sse_set(game, sses)
+            max_total_utility_sse(game, sses)
+            for s in sses:
+                mu, _ = limit_beliefs(game, s)
+                verify_sequential_rationality(game, s, mu)
+                answer_bit_distribution(game, s)
+            assert compiles == [game]
+
+    def test_interleaved_games_match_fresh_copies(self, compiles):
+        games = sse_rich_games(6)
+        for a, b in zip(games[::2], games[1::2]):
+            want_a, want_b = fresh(a), fresh(b)
+            trees._last = None
+            compiles.clear()
+            assert list(chain(a)) == want_a
+            assert list(chain(b)) == want_b
+            assert list(chain(a)) == want_a
+            assert compiles == [a, b, a]
+            assert alternated(a, b) == (want_a, want_b)
+
+    def test_original_and_pruning_alternate_as_verify_pruning_does(self):
+        rng = random.Random(1515)
+        in_class = 0
+        for _ in range(12):
+            game = random_root_lottery_game(rng, profile_cap=256)
+            s = (enumerate_sse(game) or [random_profile(rng, game)])[0]
+            pruned, _ = prune_nature(game, s, rng.randint(1, 2), 1)
+            want = fresh(game), fresh(pruned)
+            reports = []
+            for cap in (None, 1):  # 1: through the perfect-information class search
+                trees._last = None
+                copies = replace(game), replace(pruned)
+                reports.append(verify_pruning(*copies, s, 1, 1, profile_cap=cap))
+            trees._last = None
+            assert alternated(game, pruned) == want
+            for cap, report in zip((None, 1), reports):
+                assert verify_pruning(game, pruned, s, 1, 1, profile_cap=cap) == report
+                assert list(chain(game)) == want[0]
+            in_class += reports[1].dominance_checked
+        assert in_class > 0
+
+    def test_equal_copy_gets_its_own_core(self, compiles):
+        (game,) = sse_rich_games(1)
+        copy = replace(game)
+        assert copy == game and copy is not game
+        want = fresh(game)
+        compiles.clear()
+        assert list(chain(game)) == want
+        assert list(chain(copy)) == want
+        assert compiles == [game, copy]
+        assert trees._core_of(copy).game is copy
+
+    def test_threads_sharing_the_slot_get_fresh_results(self):
+        games = sse_rich_games(4)  # one thread per game, more threads than cores
+        want = [fresh(g) for g in games]
+        trees._last = None
+        got: list = [None] * len(games)
+
+        def work(n):
+            got[n] = [list(chain(games[n])) for _ in range(10)]
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(len(games))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 10 for w in want]

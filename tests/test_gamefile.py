@@ -121,6 +121,32 @@ class TestDiagnostics:
         with pytest.raises(GameFileError, match="unsupported format"):
             gamefile.game_from_doc({"format": "game/999"})
 
+    @pytest.mark.parametrize(
+        "beliefs, where, message",
+        [
+            ({"h|zz": ["1", "0"]}, "beliefs['h|zz']", "the game has no such information set"),
+            ({"h|t": ["1"]}, "beliefs['h|t']", "needs 2 entries, got 1"),
+            ({"h|t": ["0", "0"]}, "beliefs['h|t']", "not a probability distribution"),
+        ],
+        ids=["unknown-set", "wrong-length", "not-a-distribution"],
+    )
+    def test_bad_beliefs_entry_located(self, beliefs, where, message):
+        doc = {
+            "format": "game/1",
+            "provers": 1,
+            "nodes": {
+                "": {"player": 0, "actions": ["h", "t"], "dist": ["1/2", "1/2"]},
+                "h": {"player": 1, "actions": ["x"]},
+                "t": {"player": 1, "actions": ["x"]},
+                "h/x": {"payments": ["0"], "answer_bit": 0},
+                "t/x": {"payments": ["1"], "answer_bit": 1},
+            },
+            "info_sets": [{"owner": 1, "members": ["h", "t"], "actions": ["x"]}],
+            "beliefs": {"h|t": ["1/2", "1/2"], **beliefs},
+        }
+        with pytest.raises(GameFileError, match=f"^{re.escape(where)}: {re.escape(message)}$"):
+            gamefile.game_from_doc(doc)
+
     def test_repeated_bad_rational_names_its_first_node(self):
         doc = {
             "format": "game/1",

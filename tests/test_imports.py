@@ -55,3 +55,23 @@ def test_fraction_passes_called_only_where_allowed():
         ("equilibrium", "reach_map"),
         ("pruning", "continuation_values"),
     ]
+
+
+def test_integer_core_compiled_only_by_core_of():
+    """Every analysis takes its core from `trees._core_of`, which keeps the
+    last one compiled, so a chain of calls on one tree compiles it once; a
+    call that builds its own `_IntCore` would compile once per call again."""
+    sites = []
+    for path in sorted(Path(provergames.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function; `ast.walk` goes outside in
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, f"{path.stem}.{fn.name}") for node in ast.walk(fn))
+        sites += [
+            owner.get(call, f"{path.stem}.<module>")
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_IntCore"
+        ]
+    assert sites == ["trees._core_of"]

@@ -7,12 +7,14 @@ import pytest
 
 from provergames.errors import GameError
 from provergames.pruning import (
+    _in_class,
     interval_index,
     interval_representative,
     prune_nature,
     verify_pruning,
 )
-from provergames.equilibrium import enumerate_sse
+from provergames.equilibrium import enumerate_sse, is_sse
+from provergames.gaps import answer_bit_distribution
 from provergames.subforms import dominant_sse_set
 from provergames.beliefs import reachable_sets
 from provergames.trees import (
@@ -26,7 +28,7 @@ from provergames.trees import (
     validate_game,
 )
 
-from randgames import PAY_GRID, random_root_lottery_game
+from randgames import PAY_GRID, random_profile, random_root_lottery_game
 
 
 def lottery(payments, weights=None):
@@ -257,3 +259,40 @@ class TestVerifyPruning:
         rep = verify_pruning(game, pruned, s, 2, designated_prover=1)
         u0, u1 = utility_vector(game, s), utility_vector(pruned, s)
         assert rep.drift[0].drift == abs(u0[0] - u1[0])
+
+
+def reference_in_class(game, s, dominant) -> bool:
+    """`pruning._in_class` as it was on `utility_vector` Fraction passes."""
+    return (
+        dominant is not None
+        and is_sse(game, s).verdict
+        and utility_vector(game, s) == utility_vector(game, dominant)
+        and answer_bit_distribution(game, s) == answer_bit_distribution(game, dominant)
+    )
+
+
+class TestInClassMatchesFractionPasses:
+    def assert_same(self, game, profiles) -> int:
+        hits = 0
+        for dominant in (None, *profiles):
+            for s in profiles:
+                got = _in_class(game, s, dominant)
+                assert got == reference_in_class(game, s, dominant)
+                hits += got
+        return hits
+
+    def test_root_lotteries_and_their_prunings(self):
+        rng = random.Random(1616)
+        hits = 0
+        for _ in range(30):
+            game = random_root_lottery_game(rng, profile_cap=256)
+            pruned, _ = prune_nature(game, random_profile(rng, game), rng.randint(1, 2), 1)
+            for g in (game, pruned):
+                profiles = enumerate_sse(g)[:4] + [random_profile(rng, g) for _ in range(3)]
+                hits += self.assert_same(g, profiles)
+        assert hits > 30
+
+    def test_k3(self, k3):
+        rng = random.Random(1717)
+        profiles = [k3.honest] + [random_profile(rng, k3.game) for _ in range(3)]
+        assert self.assert_same(k3.game, profiles) > 0
